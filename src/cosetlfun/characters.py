@@ -27,6 +27,16 @@ def phi_prime_power(p: int, j: int) -> int:
     return p ** (j - 1) * (p - 1) if j >= 1 else 1
 
 
+def primitive_exponents(m: PrimePowerModulus) -> list:
+    """Exponents c of the primitive characters mod m, ascending."""
+    return [c for c in range(1, m.phi) if c % m.p != 0]
+
+
+def even_primitive_exponents(m: PrimePowerModulus) -> list:
+    """Exponents c of the even primitive characters mod m, ascending."""
+    return [c for c in range(2, m.phi, 2) if c % m.p != 0]
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Character mod p^k sending the generator to e(c/phi)."""

@@ -10,15 +10,21 @@ only fail the run under --strict.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .characters import CosetSpec, DirichletCharacter
+from .characters import (
+    CosetSpec,
+    DirichletCharacter,
+    even_primitive_exponents,
+    primitive_exponents,
+)
 from .errors import ConfigError, CosetLFunError
 from .gauss import (
     coset_epsilon_average,
@@ -28,14 +34,8 @@ from .gauss import (
     gauss_sum_odoni,
     near_one_root_number_check,
 )
-from .hybrid import (
-    MAX_SCAN_CELLS,
-    MAX_SCAN_MODULUS,
-    ScanGrid,
-    hybrid_moment_quadrature,
-    lemma9_scan,
-)
-from .modular import modulus
+from .hybrid import ScanGrid, hybrid_moment_quadrature, lemma9_scan
+from .modular import modulus, sample_units
 from .moments import classify_regime, moment_report, recipe_params
 from .report import render_rows
 from .vdc import (
@@ -46,131 +46,26 @@ from .vdc import (
     vdc_inequality_check,
 )
 
-SUBCOMMANDS = (
-    "gauss-verify",
-    "coset-eps",
-    "ratio",
-    "near-one",
-    "moment",
-    "recipe",
-    "vdc",
-    "shift-identity",
-    "lemma9",
-    "hybrid",
-)
-
-
-@dataclass
-class RunConfig:
-    """Parsed and validated invocation."""
-
-    subcommand: str
-    p_list: list
-    k_list: list
-    j_list: list
-    m_samples: int
-    seed: int
-    tolerance: float
-    out: str
-    fmt: str
-    workers: int
-    strict: bool
-    trials: int
-    retain_phase: bool
-    T: float
-    T0: float
-    t_step: float
-    A: int
-    B: int
-
 
 @dataclass
 class RunResult:
+    """Rows and check outcomes of one run.  The driver creates it with the
+    subcommand's row keys and adds the tolerance failures."""
+
+    keys: list
     rows: list = field(default_factory=list)
     hard_failures: list = field(default_factory=list)
     soft_warnings: list = field(default_factory=list)
-    summary: str = ""
+
+    def add(self, *values) -> None:
+        """Append a row given in report-column order; a complex value fills
+        its _re/_im column pair."""
+        cells = ([v.real, v.imag] if isinstance(v, complex) else v for v in values)
+        self.rows.append(dict(zip(self.keys, cells, strict=True)))
 
 
-def _ordered_map(fn, items, workers: int) -> list:
-    """Parallel map preserving input order, so output is worker-invariant."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _primitive_exponents(m) -> list:
-    return [c for c in range(1, m.phi) if c % m.p != 0]
-
-
-def _even_primitive_exponents(m) -> list:
-    return [c for c in range(2, m.phi, 2) if c % m.p != 0]
-
-
-def _sample_units(rng, q: int, p: int, count: int) -> list:
-    out = []
-    while len(out) < count:
-        c = int(rng.integers(1, q))
-        if c % p != 0:
-            out.append(c)
-    return out
-
-
-def _grid(cfg: RunConfig):
-    for p in cfg.p_list:
-        for k in cfg.k_list:
-            yield p, k
-
-
-# ---------------------------------------------------------------- subcommands
-
-
-def cmd_gauss_verify(cfg: RunConfig) -> RunResult:
-    """Closed-form Gauss sums against brute summation, all primitive chi."""
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    res = RunResult()
-    for p, k in _grid(cfg):
-        if k < 2:
-            raise ConfigError(f"gauss-verify needs k >= 2, got k = {k}")
-        if k % 2 == 1 and p == 3:
-            raise ConfigError(
-                f"odd k with p = 3 (requested k = {k}) has no closed form; "
-                "the library guard raises UnsupportedRegime for it"
-            )
-        m = modulus(p, k)
-
-        def one(c, m=m, p=p, k=k):
-            chi = DirichletCharacter(m, c)
-            brute = gauss_sum_brute(chi)
-            closed = gauss_sum_odoni(chi).value
-            abs_err = abs(brute - closed)
-            rel_err = abs_err / abs(closed)
-            return {
-                "p": p,
-                "k": k,
-                "q": m.q,
-                "chi_exponent": c,
-                "brute": [brute.real, brute.imag],
-                "closed": [closed.real, closed.imag],
-                "abs_err": abs_err,
-                "rel_err": rel_err,
-            }
-
-        rows = _ordered_map(one, _primitive_exponents(m), cfg.workers)
-        for r in rows:
-            if r["rel_err"] > tol:
-                res.hard_failures.append(
-                    f"gauss-verify q={r['q']} c={r['chi_exponent']}: "
-                    f"rel_err {r['rel_err']:.3e} > {tol:.1e}"
-                )
-        res.rows.extend(rows)
-    res.summary = f"gauss-verify: {len(res.rows)} characters checked"
-    return res
-
-
-def _eps_regimes(p: int, k: int, j: int) -> list:
+def eps_regimes(p: int, k: int, j: int) -> list:
+    """Closed-form regimes of the coset epsilon average at level j mod p^k."""
     out = []
     if (k + 1) // 2 <= j < k:
         out.append("linear")
@@ -179,58 +74,55 @@ def _eps_regimes(p: int, k: int, j: int) -> list:
     return out
 
 
-def cmd_coset_eps(cfg: RunConfig) -> RunResult:
+# ---------------------------------------------------------------- subcommands
+
+
+def cmd_gauss_verify(args: argparse.Namespace, res: RunResult) -> None:
+    """Closed-form Gauss sums against brute summation, all primitive chi."""
+    for p, k in itertools.product(args.p, args.k):
+        if k < 2:
+            raise ConfigError(f"gauss-verify needs k >= 2, got k = {k}")
+        if k % 2 == 1 and p == 3:
+            raise ConfigError(
+                f"odd k with p = 3 (requested k = {k}) has no closed form; "
+                "the library guard raises UnsupportedRegime for it"
+            )
+        m = modulus(p, k)
+        for c in primitive_exponents(m):
+            chi = DirichletCharacter(m, c)
+            brute = gauss_sum_brute(chi)
+            closed = gauss_sum_odoni(chi).value
+            abs_err = abs(brute - closed)
+            res.add(p, k, m.q, c, brute, closed, abs_err, abs_err / abs(closed))
+
+
+def cmd_coset_eps(args: argparse.Namespace, res: RunResult) -> None:
     """Coset averages of normalized Gauss sums: brute vs closed forms."""
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    res = RunResult()
-    rng = np.random.default_rng(cfg.seed)
-    for p, k in _grid(cfg):
+    rng = np.random.default_rng(args.seed)
+    for p, k in itertools.product(args.p, args.k):
         if k < 2:
             raise ConfigError(f"coset-eps needs k >= 2, got k = {k}")
         m = modulus(p, k)
-        levels = cfg.j_list or [j for j in range(1, k) if _eps_regimes(p, k, j)]
+        levels = args.j or [j for j in range(1, k) if eps_regimes(p, k, j)]
         for j in levels:
-            regimes = _eps_regimes(p, k, j)
+            regimes = eps_regimes(p, k, j)
             if not regimes:
                 raise ConfigError(
                     f"level j = {j} fits no average regime at (p, k) = ({p}, {k})"
                 )
-            c = int(rng.choice(_even_primitive_exponents(m)))
-            chi = DirichletCharacter(m, c)
-            spec = CosetSpec(chi, j, "even")
-            for tw in _sample_units(rng, m.q, p, cfg.m_samples):
+            c = int(rng.choice(even_primitive_exponents(m)))
+            spec = CosetSpec(DirichletCharacter(m, c), j, "even")
+            for tw in sample_units(rng, m.q, p, args.m_samples):
                 brute = coset_epsilon_average(spec, tw)
                 for regime in regimes:
                     closed = coset_epsilon_average_closed(spec, tw, regime)
-                    abs_err = abs(brute - closed)
-                    res.rows.append(
-                        {
-                            "p": p,
-                            "k": k,
-                            "j": j,
-                            "regime": regime,
-                            "chi_exponent": c,
-                            "m": tw,
-                            "brute": [brute.real, brute.imag],
-                            "closed": [closed.real, closed.imag],
-                            "abs_err": abs_err,
-                        }
-                    )
-                    if abs_err > tol:
-                        res.hard_failures.append(
-                            f"coset-eps q={m.q} j={j} {regime} m={tw}: "
-                            f"abs_err {abs_err:.3e} > {tol:.1e}"
-                        )
-    res.summary = f"coset-eps: {len(res.rows)} averages checked"
-    return res
+                    res.add(p, k, j, regime, c, tw, brute, closed, abs(brute - closed))
 
 
-def cmd_ratio(cfg: RunConfig) -> RunResult:
+def cmd_ratio(args: argparse.Namespace, res: RunResult) -> None:
     """Gauss-sum ratios along a coset against the character-value formula."""
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    res = RunResult()
-    rng = np.random.default_rng(cfg.seed)
-    for p, k in _grid(cfg):
+    rng = np.random.default_rng(args.seed)
+    for p, k in itertools.product(args.p, args.k):
         if k < 2:
             raise ConfigError(f"ratio needs k >= 2, got k = {k}")
         m = modulus(p, k)
@@ -238,8 +130,8 @@ def cmd_ratio(cfg: RunConfig) -> RunResult:
         # window the collapsed formula holds for every k; at the ceil boundary
         # an odd k picks up an extra p-th root of unity (see the ratio tests)
         step = p ** (k - k // 2)
-        twists = _sample_units(rng, m.q, p, cfg.m_samples)
-        for c1 in _primitive_exponents(m):
+        twists = sample_units(rng, m.q, p, args.m_samples)
+        for c1 in primitive_exponents(m):
             chi1 = DirichletCharacter(m, c1)
             for d in range(0, m.phi, step):
                 c2 = (c1 - d) % m.phi
@@ -247,61 +139,25 @@ def cmd_ratio(cfg: RunConfig) -> RunResult:
                     continue
                 chi2 = DirichletCharacter(m, c2)
                 for tw in twists:
-                    rep = gauss_ratio_check(chi1, chi2, tw)
-                    row = rep.rows[0]
-                    res.rows.append(
-                        {
-                            "q": m.q,
-                            "chi1": c1,
-                            "chi2": c2,
-                            "m": tw,
-                            "brute": [row.brute.real, row.brute.imag],
-                            "closed": [row.closed.real, row.closed.imag],
-                            "rel_err": row.rel_err,
-                        }
-                    )
-                    if row.rel_err > tol:
-                        res.hard_failures.append(
-                            f"ratio q={m.q} c1={c1} c2={c2} m={tw}: "
-                            f"rel_err {row.rel_err:.3e} > {tol:.1e}"
-                        )
-    res.summary = f"ratio: {len(res.rows)} pairs checked"
-    return res
+                    row = gauss_ratio_check(chi1, chi2, tw).rows[0]
+                    res.add(m.q, c1, c2, tw, row.brute, row.closed, row.rel_err)
 
 
-def cmd_near_one(cfg: RunConfig) -> RunResult:
+def cmd_near_one(args: argparse.Namespace, res: RunResult) -> None:
     """Cosets pinned near the trivial logarithm parameter: fixed root number."""
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    res = RunResult()
-    for p, k in _grid(cfg):
+    for p, k in itertools.product(args.p, args.k):
         if k % 2 != 0:
             raise ConfigError(f"near-one needs even k, got k = {k}")
-        rep = near_one_root_number_check(modulus(p, k))
-        for row in rep.rows:
-            res.rows.append(
-                {
-                    "q": p**k,
-                    "instance": row.instance,
-                    "computed": [row.brute.real, row.brute.imag],
-                    "pinned": [row.closed.real, row.closed.imag],
-                    "rel_err": row.rel_err,
-                }
-            )
-            if row.rel_err > tol:
-                res.hard_failures.append(
-                    f"near-one {row.instance}: rel_err {row.rel_err:.3e}"
-                )
-    res.summary = f"near-one: {len(res.rows)} coset members checked"
-    return res
+        for row in near_one_root_number_check(modulus(p, k)).rows:
+            res.add(p**k, row.instance, row.brute, row.closed, row.rel_err)
 
 
-def cmd_moment(cfg: RunConfig) -> RunResult:
+def cmd_moment(args: argparse.Namespace, res: RunResult) -> None:
     """Empirical coset second moments against the predicted main terms."""
-    res = RunResult()
-    if not cfg.j_list:
+    if not args.j:
         raise ConfigError("moment needs an explicit --j grid")
-    for p, k in _grid(cfg):
-        for j in cfg.j_list:
+    for p, k in itertools.product(args.p, args.k):
+        for j in args.j:
             regime = classify_regime(k, j)
             if regime == "none":
                 raise ConfigError(
@@ -312,14 +168,10 @@ def cmd_moment(cfg: RunConfig) -> RunResult:
                     f"quadratic-regime prediction needs p >= 5, got p = {p}"
                 )
             m = modulus(p, k)
-
-            def one(c, m=m, j=j):
-                rep = moment_report(
-                    DirichletCharacter(m, c), j, cfg.retain_phase
-                )
-                return rep.to_dict()
-
-            rows = _ordered_map(one, _even_primitive_exponents(m), cfg.workers)
+            rows = [
+                moment_report(DirichletCharacter(m, c), j, args.retain_phase).to_dict()
+                for c in even_primitive_exponents(m)
+            ]
             improved = sum(
                 1 for r in rows if abs(r["residual"]) < abs(r["baseline_residual"])
             )
@@ -338,23 +190,19 @@ def cmd_moment(cfg: RunConfig) -> RunResult:
                         f"moment q={m.q} c={r['chi_exponent']}: non-finite value"
                     )
             res.rows.extend(rows)
-    res.summary = f"moment: {len(res.rows)} characters reported"
-    return res
 
 
-def cmd_recipe(cfg: RunConfig) -> RunResult:
+def cmd_recipe(args: argparse.Namespace, res: RunResult) -> None:
     """Signed minimal lifts of the logarithm parameter, with window checks."""
-    res = RunResult()
-    if not cfg.j_list:
+    if not args.j:
         raise ConfigError("recipe needs an explicit --j grid")
-    for p, k in _grid(cfg):
-        for j in cfg.j_list:
+    for p, k in itertools.product(args.p, args.k):
+        for j in args.j:
             if not 1 <= j < k:
                 raise ConfigError(f"recipe needs 1 <= j < k, got (k, j) = ({k}, {j})")
             m = modulus(p, k)
-            for c in _even_primitive_exponents(m):
-                chi = DirichletCharacter(m, c)
-                params = recipe_params(chi, j)
+            for c in even_primitive_exponents(m):
+                params = recipe_params(DirichletCharacter(m, c), j)
                 qkj = p ** (k - j)
                 q0 = p**j
                 ok = (
@@ -367,45 +215,22 @@ def cmd_recipe(cfg: RunConfig) -> RunResult:
                     res.hard_failures.append(
                         f"recipe q={m.q} c={c}: lift windows violated"
                     )
-                res.rows.append(
-                    {
-                        "q": m.q,
-                        "q0": q0,
-                        "chi_exponent": c,
-                        "ell": params.ell,
-                        "a_chi": params.a_chi,
-                        "b_chi": params.b_chi,
-                        "regime": params.regime,
-                    }
+                res.add(
+                    m.q, q0, c, params.ell, params.a_chi, params.b_chi, params.regime
                 )
-    res.summary = f"recipe: {len(res.rows)} characters lifted"
-    return res
 
 
-def cmd_vdc(cfg: RunConfig) -> RunResult:
+def cmd_vdc(args: argparse.Namespace, res: RunResult) -> None:
     """Shift inequality and amplifier identity on random + adversarial runs."""
-    res = RunResult()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
 
     def check(kind: str, idx: int, seq: FiniteSequence, H: int):
         lhs, rhs = vdc_inequality_check(seq, H)
         pl, pr = amplified_l2_identity(seq, H)
         ok_ineq = lhs <= rhs + 1e-9 * (1 + abs(rhs))
         ok_pars = abs(pl - pr) <= 1e-9 * (1 + abs(pl))
-        res.rows.append(
-            {
-                "kind": kind,
-                "trial": idx,
-                "N": len(seq),
-                "H": H,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": rhs - lhs,
-                "parseval_lhs": pl,
-                "parseval_rhs": pr,
-                "ok": bool(ok_ineq and ok_pars),
-            }
-        )
+        ok = bool(ok_ineq and ok_pars)
+        res.add(kind, idx, len(seq), H, lhs, rhs, rhs - lhs, pl, pr, ok)
         if not ok_ineq:
             res.hard_failures.append(
                 f"vdc {kind}#{idx}: inequality violated by {lhs - rhs:.3e}"
@@ -415,7 +240,7 @@ def cmd_vdc(cfg: RunConfig) -> RunResult:
                 f"vdc {kind}#{idx}: amplifier identity off by {abs(pl - pr):.3e}"
             )
 
-    for i in range(cfg.trials):
+    for i in range(args.trials):
         n = int(rng.integers(1, 201))
         h = int(rng.integers(1, n + 1))
         check("random", i, random_sequence(n, rng), h)
@@ -424,138 +249,176 @@ def cmd_vdc(cfg: RunConfig) -> RunResult:
     spike = [0j] * 64
     spike[17] = 1 + 0j
     check("spike", 0, FiniteSequence(1, tuple(spike)), 8)
-    res.summary = f"vdc: {len(res.rows)} instances, all inequalities checked"
-    return res
 
 
-def cmd_shift_identity(cfg: RunConfig) -> RunResult:
+def cmd_shift_identity(args: argparse.Namespace, res: RunResult) -> None:
     """Coset mean square vs shifted autocorrelations on random sequences."""
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
-    res = RunResult()
-    rng = np.random.default_rng(cfg.seed)
-    for p, k in _grid(cfg):
+    rng = np.random.default_rng(args.seed)
+    for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
-        levels = cfg.j_list if cfg.j_list else list(range(0, k + 1))
-        for j in levels:
+        for j in args.j or range(0, k + 1):
             if not 0 <= j <= k:
                 raise ConfigError(f"shift-identity needs 0 <= j <= k, got j = {j}")
-            for i in range(cfg.trials):
-                c = int(rng.choice(_primitive_exponents(m)))
+            for i in range(args.trials):
+                c = int(rng.choice(primitive_exponents(m)))
                 seq = random_sequence(50, rng)
                 lhs, rhs = coset_shift_identity(seq, DirichletCharacter(m, c), j)
-                rel = abs(lhs - rhs) / max(1.0, abs(lhs))
-                res.rows.append(
-                    {
-                        "q": m.q,
-                        "j": j,
-                        "trial": i,
-                        "chi_exponent": c,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "rel_err": rel,
-                    }
-                )
-                if rel > tol:
-                    res.hard_failures.append(
-                        f"shift-identity q={m.q} j={j}#{i}: rel_err {rel:.3e}"
-                    )
-    res.summary = f"shift-identity: {len(res.rows)} sequences checked"
-    return res
+                res.add(m.q, j, i, c, lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
 
-def cmd_lemma9(cfg: RunConfig) -> RunResult:
+def cmd_lemma9(args: argparse.Namespace, res: RunResult) -> None:
     """|S| mass scans against the square-root envelope (soft guard only)."""
-    res = RunResult()
-    for p, k in _grid(cfg):
+    for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
-        if m.q > MAX_SCAN_MODULUS:
-            raise ConfigError(
-                f"scan modulus q = {m.q} over the cap {MAX_SCAN_MODULUS}"
-            )
-        if cfg.A * cfg.B > MAX_SCAN_CELLS:
-            raise ConfigError(
-                f"scan area A*B = {cfg.A * cfg.B} over the cap {MAX_SCAN_CELLS}"
-            )
-        for j in cfg.j_list or [1]:
-            scan = lemma9_scan(ScanGrid(m, j, cfg.A, cfg.B))
+        for j in args.j or [1]:
+            scan = lemma9_scan(ScanGrid(m, j, args.A, args.B))
             res.rows.extend(scan.rows)
             if not scan.soft_guard_ok():
                 res.soft_warnings.append(
                     f"lemma9 q={m.q} j={j}: max ratio {scan.max_ratio:.3f} "
                     f"exceeds 3x base {scan.base_ratio:.3f}"
                 )
-    res.summary = f"lemma9: {len(res.rows)} grid points scanned"
-    return res
 
 
-def cmd_hybrid(cfg: RunConfig) -> RunResult:
+def cmd_hybrid(args: argparse.Namespace, res: RunResult) -> None:
     """Windowed coset moment quadrature against the hybrid envelope."""
-    res = RunResult()
-    if cfg.T0 > cfg.T:
-        raise ConfigError(f"window needs T0 <= T, got T0 = {cfg.T0}, T = {cfg.T}")
-    if cfg.t_step > cfg.T0 / 8:
-        raise ConfigError(
-            f"quadrature step {cfg.t_step} exceeds T0/8 = {cfg.T0 / 8}"
-        )
-    for p, k in _grid(cfg):
+    for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
         chi = DirichletCharacter(m, 1)
-        for j in cfg.j_list or [1]:
-            grid = ScanGrid(m, j, cfg.A, cfg.B, cfg.T, cfg.T0, cfg.t_step)
-            hq = hybrid_moment_quadrature(grid, chi)
+        for j in args.j or [1]:
+            # the quadrature reads no shift or frequency cap: both stay 1
+            hq = hybrid_moment_quadrature(
+                ScanGrid(m, j, 1, 1, args.T, args.T0, args.t_step), chi
+            )
             fine = hybrid_moment_quadrature(
-                ScanGrid(m, j, cfg.A, cfg.B, cfg.T, cfg.T0, cfg.t_step / 2), chi
+                ScanGrid(m, j, 1, 1, args.T, args.T0, args.t_step / 2), chi
             )
             drift = abs(fine.lhs - hq.lhs) / max(1e-30, abs(hq.lhs))
-            res.rows.append(
-                {
-                    "q": m.q,
-                    "q0": p**j,
-                    "T": cfg.T,
-                    "T0": cfg.T0,
-                    "t_step": cfg.t_step,
-                    "lhs": hq.lhs,
-                    "envelope": hq.envelope,
-                    "ratio": hq.ratio,
-                    "halved_step_lhs": fine.lhs,
-                    "quadrature_drift": drift,
-                }
+            res.add(
+                m.q, p**j, args.T, args.T0, args.t_step,
+                hq.lhs, hq.envelope, hq.ratio, fine.lhs, drift,
             )
             if drift > 0.01:
                 res.soft_warnings.append(
                     f"hybrid q={m.q} j={j}: step-halving moved the integral "
                     f"by {drift:.2%} (> 1%)"
                 )
-    res.summary = f"hybrid: {len(res.rows)} windows integrated"
-    return res
 
 
-HANDLERS = {
-    "gauss-verify": cmd_gauss_verify,
-    "coset-eps": cmd_coset_eps,
-    "ratio": cmd_ratio,
-    "near-one": cmd_near_one,
-    "moment": cmd_moment,
-    "recipe": cmd_recipe,
-    "vdc": cmd_vdc,
-    "shift-identity": cmd_shift_identity,
-    "lemma9": cmd_lemma9,
-    "hybrid": cmd_hybrid,
+# ------------------------------------------------------------------ the table
+
+# every flag a handler may read beyond the shared ones; a subcommand
+# registers only those its spec lists
+FLAGS = {
+    "--p": dict(type=int, nargs="+", default=[], help="prime grid"),
+    "--k": dict(type=int, nargs="+", default=[], help="exponent grid"),
+    "--j": dict(type=int, nargs="+", default=[], help="level grid"),
+    "--m-samples": dict(type=int, default=10, help="sampled twists per instance"),
+    "--trials": dict(type=int, default=100, help="random instances"),
+    "--retain-phase": dict(
+        action="store_true", help="keep the unimodular phase on the secondary term"
+    ),
+    "--T": dict(type=float, default=10.0, help="window start"),
+    "--T0": dict(type=float, default=2.0, help="window length"),
+    "--t-step": dict(type=float, default=0.25, help="quadrature step"),
+    "--A": dict(type=int, default=16, help="shift cap"),
+    "--B": dict(type=int, default=16, help="frequency cap"),
 }
+GRID = ("--p", "--k")
 
-COLUMN_NOTES = {
-    "gauss-verify": "p,k,q,chi_exponent,brute_re,brute_im,closed_re,closed_im,abs_err,rel_err",
-    "coset-eps": "p,k,j,regime,chi_exponent,m,brute_re,brute_im,closed_re,closed_im,abs_err",
-    "ratio": "q,chi1,chi2,m,brute_re,brute_im,closed_re,closed_im,rel_err",
-    "near-one": "q,instance,computed_re,computed_im,pinned_re,pinned_im,rel_err",
-    "moment": "q,q0,chi_exponent,ell,a_chi,b_chi,regime,empirical,D,A,"
-    "residual,baseline_residual,error_scale",
-    "recipe": "q,q0,chi_exponent,ell,a_chi,b_chi,regime",
-    "vdc": "kind,trial,N,H,lhs,rhs,margin,parseval_lhs,parseval_rhs,ok",
-    "shift-identity": "q,j,trial,chi_exponent,lhs,rhs,rel_err",
-    "lemma9": "kind,q,q0,A,B,sum_S,envelope,ratio",
-    "hybrid": "q,q0,T,T0,t_step,lhs,envelope,ratio,halved_step_lhs,quadrature_drift",
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand: its handler, the report columns shown in --help, the
+    noun its summary line counts, the flags it reads, and the column held to
+    the hard tolerance (none for subcommands without one) with its default."""
+
+    handler: Callable[[argparse.Namespace, RunResult], None]
+    columns: str
+    noun: str
+    flags: tuple = GRID
+    checked: str | None = None
+    tolerance: float = 1e-9
+    defaults: dict = field(default_factory=dict)
+
+    @property
+    def keys(self) -> list:
+        """Row keys: the report columns with each _re/_im pair as one key."""
+        cols = self.columns.split(",")
+        return [c.removesuffix("_re") for c in cols if not c.endswith("_im")]
+
+
+SPECS = {
+    "gauss-verify": Subcommand(
+        cmd_gauss_verify,
+        "p,k,q,chi_exponent,brute_re,brute_im,closed_re,closed_im,abs_err,rel_err",
+        "characters checked",
+        checked="rel_err",
+    ),
+    "coset-eps": Subcommand(
+        cmd_coset_eps,
+        "p,k,j,regime,chi_exponent,m,brute_re,brute_im,closed_re,closed_im,abs_err",
+        "averages checked",
+        GRID + ("--j", "--m-samples"),
+        checked="abs_err",
+    ),
+    "ratio": Subcommand(
+        cmd_ratio,
+        "q,chi1,chi2,m,brute_re,brute_im,closed_re,closed_im,rel_err",
+        "pairs checked",
+        GRID + ("--m-samples",),
+        checked="rel_err",
+    ),
+    "near-one": Subcommand(
+        cmd_near_one,
+        "q,instance,computed_re,computed_im,pinned_re,pinned_im,rel_err",
+        "coset members checked",
+        checked="rel_err",
+    ),
+    "moment": Subcommand(
+        cmd_moment,
+        "q,q0,chi_exponent,ell,a_chi,b_chi,regime,empirical,D,A,"
+        "residual,baseline_residual,error_scale",
+        "characters reported",
+        GRID + ("--j", "--retain-phase"),
+    ),
+    "recipe": Subcommand(
+        cmd_recipe,
+        "q,q0,chi_exponent,ell,a_chi,b_chi,regime",
+        "characters lifted",
+        GRID + ("--j",),
+    ),
+    "vdc": Subcommand(
+        cmd_vdc,
+        "kind,trial,N,H,lhs,rhs,margin,parseval_lhs,parseval_rhs,ok",
+        "instances, all inequalities checked",
+        ("--trials",),
+        defaults={"trials": 1000},
+    ),
+    "shift-identity": Subcommand(
+        cmd_shift_identity,
+        "q,j,trial,chi_exponent,lhs,rhs,rel_err",
+        "sequences checked",
+        GRID + ("--j", "--trials"),
+        checked="rel_err",
+        tolerance=1e-8,
+    ),
+    "lemma9": Subcommand(
+        cmd_lemma9,
+        "kind,q,q0,A,B,sum_S,envelope,ratio",
+        "grid points scanned",
+        GRID + ("--j", "--A", "--B"),
+    ),
+    "hybrid": Subcommand(
+        cmd_hybrid,
+        "q,q0,T,T0,t_step,lhs,envelope,ratio,halved_step_lhs,quadrature_drift",
+        "windows integrated",
+        GRID + ("--j", "--T", "--T0", "--t-step"),
+    ),
 }
+SUBCOMMANDS = tuple(SPECS)
+# main looks handlers up here at call time, so a caller may wrap them
+HANDLERS = {name: spec.handler for name, spec in SPECS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,92 +428,61 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = top.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, spec in SPECS.items():
+        doc = spec.handler.__doc__
         sp = subs.add_parser(
             name,
-            help=HANDLERS[name].__doc__,
-            description=(HANDLERS[name].__doc__ or "")
-            + f"\n\nreport columns: {COLUMN_NOTES[name]}",
+            help=doc,
+            description=f"{doc}\n\nreport columns: {spec.columns}",
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        sp.add_argument("--p", type=int, nargs="+", default=[], help="prime grid")
-        sp.add_argument("--k", type=int, nargs="+", default=[], help="exponent grid")
-        sp.add_argument("--j", type=int, nargs="+", default=[], help="level grid")
-        sp.add_argument("--m-samples", type=int, default=10, help="sampled twists per instance")
+        for flag in spec.flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        sp.add_argument("--tolerance", type=float, default=None, help="override the hard tolerance")
+        if spec.checked:
+            sp.add_argument(
+                "--tolerance",
+                type=float,
+                default=spec.tolerance,
+                help=f"hard tolerance on {spec.checked}",
+            )
         sp.add_argument("--out", default=None, help="report file (default: stdout)")
         sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        sp.add_argument("--workers", type=int, default=None, help="parallel workers (env COSETLFUN_WORKERS)")
         sp.add_argument("--strict", action="store_true", help="promote soft warnings to failures")
-        sp.add_argument("--trials", type=int, default=1000 if name == "vdc" else 100)
-        sp.add_argument("--retain-phase", action="store_true", help="keep the unimodular phase on the secondary term")
-        sp.add_argument("--T", type=float, default=10.0, help="window start")
-        sp.add_argument("--T0", type=float, default=2.0, help="window length")
-        sp.add_argument("--t-step", type=float, default=0.25, help="quadrature step")
-        sp.add_argument("--A", type=int, default=16 if name == "lemma9" else 1, help="shift cap")
-        sp.add_argument("--B", type=int, default=16 if name == "lemma9" else 1, help="frequency cap")
+        sp.set_defaults(**spec.defaults)
     return top
 
 
-def _resolve_workers(value) -> int:
-    if value is not None:
-        n = value
-    else:
-        env = os.environ.get("COSETLFUN_WORKERS", "")
-        n = int(env) if env.strip() else (os.cpu_count() or 1)
-    if n < 1:
-        raise ConfigError(f"worker count must be >= 1, got {n}")
-    return n
-
-
-def make_config(args: argparse.Namespace) -> RunConfig:
-    needs_pk = args.subcommand not in ("vdc",)
-    if needs_pk and (not args.p or not args.k):
+def check_args(args: argparse.Namespace) -> None:
+    """Reject values no handler can run on, as a ConfigError."""
+    given = vars(args)
+    if "p" in given and not (args.p and args.k):
         raise ConfigError("empty grid: --p and --k are required here")
-    for p in args.p:
+    for p in given.get("p", ()):
         if p < 3 or p % 2 == 0:
             raise ConfigError(f"modulus base must be an odd prime, got {p}")
-    for k in args.k:
+    for k in given.get("k", ()):
         if k < 1:
             raise ConfigError(f"exponent must be >= 1, got {k}")
-    if args.tolerance is not None and not args.tolerance > 0:
+    if not given.get("tolerance", 1.0) > 0:
         raise ConfigError(f"tolerance must be positive, got {args.tolerance}")
-    if args.m_samples < 1:
-        raise ConfigError(f"m-samples must be >= 1, got {args.m_samples}")
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    for key in ("m_samples", "trials"):
+        if given.get(key, 1) < 1:
+            flag = key.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= 1, got {given[key]}")
     if args.out:
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise ConfigError(f"output directory not writable: {parent}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        p_list=args.p,
-        k_list=args.k,
-        j_list=args.j,
-        m_samples=args.m_samples,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        out=args.out,
-        fmt=args.format,
-        workers=_resolve_workers(args.workers),
-        strict=args.strict,
-        trials=args.trials,
-        retain_phase=args.retain_phase,
-        T=args.T,
-        T0=args.T0,
-        t_step=args.t_step,
-        A=args.A,
-        B=args.B,
-    )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    spec = SPECS[args.subcommand]
+    result = RunResult(spec.keys)
     try:
-        cfg = make_config(args)
-        result = HANDLERS[cfg.subcommand](cfg)
+        check_args(args)
+        HANDLERS[args.subcommand](args, result)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -658,9 +490,20 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
-    text = render_rows(result.rows, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if spec.checked:
+        for row in result.rows:
+            if row[spec.checked] > args.tolerance:
+                where = " ".join(
+                    f"{key}={v}" for key, v in row.items() if isinstance(v, (int, str))
+                )
+                result.hard_failures.append(
+                    f"{args.subcommand} {where}: {spec.checked} "
+                    f"{row[spec.checked]:.3e} > {args.tolerance:.1e}"
+                )
+
+    text = render_rows(result.rows, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -670,12 +513,11 @@ def main(argv=None) -> int:
     for f in result.hard_failures:
         print(f"FAIL: {f}", file=sys.stderr)
     status = "FAIL" if result.hard_failures else "ok"
-    if cfg.strict and result.soft_warnings:
+    if args.strict and result.soft_warnings:
         status = "FAIL"
-    print(f"{result.summary} [{status}]", file=sys.stderr)
-    if status == "FAIL":
-        return 1
-    return 0
+    summary = f"{args.subcommand}: {len(result.rows)} {spec.noun}"
+    print(f"{summary} [{status}]", file=sys.stderr)
+    return 1 if status == "FAIL" else 0
 
 
 if __name__ == "__main__":

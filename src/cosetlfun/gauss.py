@@ -10,7 +10,6 @@ two regimes depending on where j sits relative to k/2 and k/3.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,7 +141,6 @@ def gauss_ratio_check(
         raise PreconditionViolated(
             f"ratio conductor {prod.conductor} exceeds {half_up}"
         )
-    start = time.perf_counter()
     brute = gauss_sum_brute(chi1, m) / gauss_sum_brute(chi2, m)
     ell1 = postnikov_ell(chi1)
     closed = prod(-ell1 * mod_inverse(m, mod.q))
@@ -150,7 +148,6 @@ def gauss_ratio_check(
         f"q={mod.q} c1={chi1.c} c2={chi2.c} m={m % mod.q}",
         brute,
         closed,
-        start,
     )
     return VerificationReport("gauss-ratio", [row])
 
@@ -170,14 +167,8 @@ def near_one_root_number_check(m: PrimePowerModulus) -> VerificationReport:
     expected = m.p**n_half * root_of_unity(1, m.q)
     rows = []
     for psi in enumerate_coset(CosetSpec(base, n_half, "all")):
-        start = time.perf_counter()
         rows.append(
-            verification_row(
-                f"q={m.q} c={psi.c}",
-                gauss_sum_brute(psi),
-                expected,
-                start,
-            )
+            verification_row(f"q={m.q} c={psi.c}", gauss_sum_brute(psi), expected)
         )
     return VerificationReport("near-one", rows)
 

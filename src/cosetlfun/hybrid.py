@@ -198,10 +198,6 @@ def hybrid_moment_quadrature(
         raise PreconditionViolated("hybrid window needs a primitive base")
     if grid.T0 > grid.T:
         raise PreconditionViolated("window needs T0 <= T")
-    if grid.t_step > grid.T0 / 8:
-        raise QuadratureTooCoarse(
-            f"step {grid.t_step} exceeds T0/8 = {grid.T0 / 8}"
-        )
     members = enumerate_coset(CosetSpec(chi, grid.j, "all"))
     num = max(8, math.ceil(grid.T0 / grid.t_step - 1e-12))
     ts = np.linspace(grid.T, grid.T + grid.T0, num + 1)

@@ -95,6 +95,16 @@ def root_of_unity(num: int, den: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 
+def sample_units(rng: np.random.Generator, q: int, p: int, count: int) -> list:
+    """`count` draws of integers in [1, q) prime to p, by rejection from rng."""
+    out = []
+    while len(out) < count:
+        c = int(rng.integers(1, q))
+        if c % p != 0:
+            out.append(c)
+    return out
+
+
 def divisor_count(n: int) -> int:
     """Number of divisors of n >= 1, by trial-division factorization."""
     if n < 1:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass
 
 
@@ -26,18 +25,14 @@ class VerificationRow:
     closed: complex
     abs_err: float
     rel_err: float
-    micros: float
 
 
-def verification_row(
-    instance: str, brute: complex, closed: complex, start: float
-) -> VerificationRow:
-    """Build a row, measuring elapsed time from `start` (perf_counter)."""
+def verification_row(instance: str, brute: complex, closed: complex) -> VerificationRow:
+    """Build a row; the relative error is taken against the larger magnitude."""
     abs_err = abs(brute - closed)
     scale = max(abs(brute), abs(closed))
     rel_err = abs_err / scale if scale > 0 else abs_err
-    micros = (time.perf_counter() - start) * 1e6
-    return VerificationRow(instance, brute, closed, abs_err, rel_err, micros)
+    return VerificationRow(instance, brute, closed, abs_err, rel_err)
 
 
 @dataclass
@@ -62,21 +57,6 @@ class VerificationReport:
         if abs_ is not None:
             ok &= self.max_abs_err <= abs_
         return ok
-
-    def to_dicts(self, timing: bool = True) -> list[dict]:
-        out = []
-        for r in self.rows:
-            d = {
-                "instance": r.instance,
-                "brute": [r.brute.real, r.brute.imag],
-                "closed": [r.closed.real, r.closed.imag],
-                "abs_err": r.abs_err,
-                "rel_err": r.rel_err,
-            }
-            if timing:
-                d["micros"] = r.micros
-            out.append(d)
-        return out
 
 
 def _json_value(v) -> str:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,23 +9,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-def sample_units(rng: np.random.Generator, q: int, p: int, count: int) -> list:
-    out = []
-    while len(out) < count:
-        c = int(rng.integers(1, q))
-        if c % p != 0:
-            out.append(c)
-    return out
-
-
-def primitive_exponents(m) -> list:
-    return [c for c in range(1, m.phi) if c % m.p != 0]
-
-
-def even_primitive_exponents(m) -> list:
-    return [c for c in range(2, m.phi, 2) if c % m.p != 0]
 
 
 def brute_unit_sum(chi, n: int) -> complex:

@@ -10,7 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from cosetlfun.characters import CosetSpec, DirichletCharacter
+from cosetlfun.characters import (
+    CosetSpec,
+    DirichletCharacter,
+    even_primitive_exponents,
+    primitive_exponents,
+)
+from cosetlfun.cli import eps_regimes
 from cosetlfun.cli import main as cli_main
 from cosetlfun.errors import UnsupportedRegime
 from cosetlfun.gauss import (
@@ -23,7 +29,7 @@ from cosetlfun.gauss import (
 )
 from cosetlfun.hybrid import ScanGrid, hybrid_moment_quadrature, lemma9_scan
 from cosetlfun.lcentral import functional_equation_residual
-from cosetlfun.modular import is_prime, modulus
+from cosetlfun.modular import is_prime, modulus, sample_units
 from cosetlfun.moments import (
     moment_report,
     predict_A,
@@ -37,23 +43,6 @@ from cosetlfun.vdc import (
     random_sequence,
     vdc_inequality_check,
 )
-
-
-def primitive_exponents(m):
-    return [c for c in range(1, m.phi) if c % m.p != 0 or m.k == 1]
-
-
-def even_primitive_exponents(m):
-    return [c for c in primitive_exponents(m) if c % 2 == 0]
-
-
-def sample_units(rng, q, p, count):
-    out = []
-    while len(out) < count:
-        c = int(rng.integers(1, q))
-        if c % p != 0:
-            out.append(c)
-    return out
 
 
 def report_line(num, slug, ok, detail=""):
@@ -131,15 +120,6 @@ def test_criterion_03_gauss_ratio():
     report_line(3, "gauss-ratio", ok,
                 f"{pairs} pairs x 10 twists at q=81, worst residual {worst:.3e}")
     assert ok
-
-
-def eps_regimes(p, k, j):
-    out = []
-    if (k + 1) // 2 <= j < k:
-        out.append("linear")
-    if p >= 5 and -(-k // 3) <= j <= k // 2:
-        out.append("quadratic")
-    return out
 
 
 def test_criterion_04_coset_epsilon_averages():

@@ -25,6 +25,58 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauss-verify", "--p", "5", "--k", "2", "--T", "5"],
+            ["hybrid", "--p", "3", "--k", "4", "--A", "2"],
+            ["moment", "--p", "3", "--k", "4", "--j", "2", "--tolerance", "1"],
+            ["vdc", "--p", "5"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# one small invocation per subcommand
+SMALL_RUNS = {
+    "gauss-verify": ["--p", "5", "--k", "2"],
+    "coset-eps": ["--p", "5", "--k", "4", "--m-samples", "1"],
+    "ratio": ["--p", "3", "--k", "2", "--m-samples", "1"],
+    "near-one": ["--p", "3", "--k", "2"],
+    "moment": ["--p", "3", "--k", "4", "--j", "2"],
+    "recipe": ["--p", "3", "--k", "4", "--j", "2"],
+    "vdc": ["--trials", "2"],
+    "shift-identity": ["--p", "3", "--k", "2", "--trials", "1"],
+    "lemma9": ["--p", "3", "--k", "3", "--j", "1", "--A", "2", "--B", "2"],
+    "hybrid": ["--p", "3", "--k", "2", "--j", "1"],
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_report_columns_match_help(name, capsys):
+    with pytest.raises(SystemExit):
+        main([name, "--help"])
+    help_text = capsys.readouterr().out
+    (line,) = [x for x in help_text.splitlines() if x.startswith("report columns: ")]
+    columns = line.removeprefix("report columns: ").split(",")
+
+    code, out, _ = run_cli(capsys, name, *SMALL_RUNS[name])
+    assert code == 0
+    assert out.splitlines()[0].split(",") == columns
+
+    code, out, _ = run_cli(capsys, name, *SMALL_RUNS[name], "--format", "jsonl")
+    assert code == 0
+    for line in out.splitlines():
+        keys = []
+        for key, value in json.loads(line).items():
+            pair = isinstance(value, list) and len(value) == 2
+            keys += [f"{key}_re", f"{key}_im"] if pair else [key]
+        assert keys == columns
+
 
 class TestConfigErrors:
     def test_even_prime_rejected(self, capsys):
@@ -104,6 +156,14 @@ class TestHappyPaths:
         for line in lines:
             row = json.loads(line)
             assert row["q"] == 25
+
+    def test_tolerance_breach_fails_run(self, capsys):
+        code, _, err = run_cli(
+            capsys, "gauss-verify", "--p", "5", "--k", "2", "--tolerance", "1e-30"
+        )
+        assert code == 1
+        assert "FAIL: gauss-verify" in err
+        assert err.splitlines()[-1] == "gauss-verify: 16 characters checked [FAIL]"
 
     def test_ratio(self, capsys):
         code, out, err = run_cli(
@@ -228,22 +288,6 @@ class TestDeterminism:
             capsys.readouterr()
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
-
-    def test_moment_byte_identical_across_worker_counts(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        outs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("COSETLFUN_WORKERS", workers)
-            f = tmp_path / f"w{workers}.csv"
-            code = main(
-                ["moment", "--p", "3", "--k", "4", "--j", "2",
-                 "--out", str(f)]
-            )
-            capsys.readouterr()
-            assert code == 0
-            outs.append(f.read_bytes())
-        assert outs[0] == outs[1]
 
     def test_gauss_verify_deterministic_seeded(self, tmp_path, capsys):
         blobs = []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_unit_sum, sample_units
+from conftest import brute_unit_sum
 from cosetlfun.characters import (
     CosetSpec,
     DirichletCharacter,
@@ -12,6 +12,7 @@ from cosetlfun.characters import (
     enumerate_coset,
     postnikov_ell,
 )
+from cosetlfun.cli import eps_regimes
 from cosetlfun.errors import (
     NotPrimitive,
     OddBase,
@@ -30,7 +31,7 @@ from cosetlfun.gauss import (
     quadratic_gauss_closed,
     root_number,
 )
-from cosetlfun.modular import modulus
+from cosetlfun.modular import modulus, sample_units
 
 
 class TestGaussSumBrute:
@@ -280,15 +281,6 @@ class TestNearOne:
     def test_rejects_odd_k(self):
         with pytest.raises(PreconditionViolated):
             near_one_root_number_check(modulus(5, 3))
-
-
-def eps_regimes(p: int, k: int, j: int) -> list:
-    out = []
-    if (k + 1) // 2 <= j < k:
-        out.append("linear")
-    if p >= 5 and -(-k // 3) <= j <= k // 2:
-        out.append("quadratic")
-    return out
 
 
 class TestCosetEpsilonAverage:

@@ -1,5 +1,4 @@
 import json
-import time
 
 import pytest
 
@@ -24,30 +23,27 @@ class TestFmtFloat:
 
 class TestVerificationRow:
     def test_builder_errors(self):
-        start = time.perf_counter()
-        row = verification_row("x", 1 + 1j, 1 + 1j, start)
+        row = verification_row("x", 1 + 1j, 1 + 1j)
         assert row.abs_err == 0.0
         assert row.rel_err == 0.0
-        assert row.micros >= 0.0
 
     def test_relative_error_scaling(self):
-        row = verification_row("x", 100.0 + 0j, 101.0 + 0j, time.perf_counter())
+        row = verification_row("x", 100.0 + 0j, 101.0 + 0j)
         assert row.abs_err == pytest.approx(1.0)
         assert row.rel_err == pytest.approx(1 / 101)
 
     def test_zero_scale(self):
-        row = verification_row("x", 0j, 0j, time.perf_counter())
+        row = verification_row("x", 0j, 0j)
         assert row.rel_err == 0.0
 
 
 class TestVerificationReport:
     def make(self):
-        t = time.perf_counter()
         return VerificationReport(
             "demo",
             [
-                verification_row("a", 1.0 + 0j, 1.0 + 0j, t),
-                verification_row("b", 2.0 + 0j, 2.5 + 0j, t),
+                verification_row("a", 1.0 + 0j, 1.0 + 0j),
+                verification_row("b", 2.0 + 0j, 2.5 + 0j),
             ],
         )
 
@@ -67,13 +63,6 @@ class TestVerificationReport:
         rep = VerificationReport("empty", [])
         assert rep.max_abs_err == 0.0
         assert rep.within(rel=0.0, abs_=0.0)
-
-    def test_to_dicts_timing_toggle(self):
-        rep = self.make()
-        with_t = rep.to_dicts()
-        without_t = rep.to_dicts(timing=False)
-        assert "micros" in with_t[0]
-        assert "micros" not in without_t[0]
 
 
 class TestSerialization:
