@@ -99,7 +99,6 @@ from .vdc import (
 from .hybrid import (
     HybridQuadrature,
     Lemma9Scan,
-    ScanGrid,
     char_sum_S,
     hybrid_moment_quadrature,
     lemma9_scan,

@@ -34,7 +34,7 @@ from .gauss import (
     gauss_sum_odoni,
     near_one_root_number_check,
 )
-from .hybrid import ScanGrid, hybrid_moment_quadrature, lemma9_scan
+from .hybrid import hybrid_moment_quadrature, lemma9_scan
 from .modular import modulus, sample_units
 from .moments import classify_regime, moment_report, recipe_params
 from .report import render_rows
@@ -112,8 +112,8 @@ def cmd_coset_eps(args: argparse.Namespace, res: RunResult) -> None:
                 )
             c = int(rng.choice(even_primitive_exponents(m)))
             spec = CosetSpec(DirichletCharacter(m, c), j, "even")
-            for tw in sample_units(rng, m.q, p, args.m_samples):
-                brute = coset_epsilon_average(spec, tw)
+            twists = sample_units(rng, m.q, p, args.m_samples)
+            for tw, brute in zip(twists, coset_epsilon_average(spec, twists)):
                 for regime in regimes:
                     closed = coset_epsilon_average_closed(spec, tw, regime)
                     res.add(p, k, j, regime, c, tw, brute, closed, abs(brute - closed))
@@ -271,7 +271,7 @@ def cmd_lemma9(args: argparse.Namespace, res: RunResult) -> None:
     for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
         for j in args.j or [1]:
-            scan = lemma9_scan(ScanGrid(m, j, args.A, args.B))
+            scan = lemma9_scan(m, j, args.A, args.B)
             res.rows.extend(scan.rows)
             if not scan.soft_guard_ok():
                 res.soft_warnings.append(
@@ -286,17 +286,11 @@ def cmd_hybrid(args: argparse.Namespace, res: RunResult) -> None:
         m = modulus(p, k)
         chi = DirichletCharacter(m, 1)
         for j in args.j or [1]:
-            # the quadrature reads no shift or frequency cap: both stay 1
-            hq = hybrid_moment_quadrature(
-                ScanGrid(m, j, 1, 1, args.T, args.T0, args.t_step), chi
-            )
-            fine = hybrid_moment_quadrature(
-                ScanGrid(m, j, 1, 1, args.T, args.T0, args.t_step / 2), chi
-            )
-            drift = abs(fine.lhs - hq.lhs) / max(1e-30, abs(hq.lhs))
+            hq = hybrid_moment_quadrature(chi, j, args.T, args.T0, args.t_step)
+            drift = abs(hq.halved_step_lhs - hq.lhs) / max(1e-30, abs(hq.lhs))
             res.add(
                 m.q, p**j, args.T, args.T0, args.t_step,
-                hq.lhs, hq.envelope, hq.ratio, fine.lhs, drift,
+                hq.lhs, hq.envelope, hq.ratio, hq.halved_step_lhs, drift,
             )
             if drift > 0.01:
                 res.soft_warnings.append(

@@ -10,8 +10,8 @@ two regimes depending on where j sits relative to k/2 and k/3.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .characters import (
     CosetSpec,
@@ -45,7 +45,6 @@ class GaussSumResult:
     value: complex
     method: str
     q: int
-    twist: int = 1
 
 
 def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
@@ -56,15 +55,9 @@ def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
     """
     m = chi.modulus
     n %= m.q
-    if chi.c * (m.phi - 1) < 2**62 and n * (m.q - 1) < 2**62:
-        ang_chi = chi.c * m.unit_dlogs % m.phi
-        ang_e = n * m.units % m.q
-        return complex((m.phi_roots[ang_chi] * m.q_roots[ang_e]).sum())
-    # big-modulus fallback: plain integer arithmetic never overflows
-    total = 0j
-    for t, d in zip(m.units.tolist(), m.unit_dlogs.tolist()):
-        total += root_of_unity(chi.c * d * m.q + n * t * m.phi, m.phi * m.q)
-    return total
+    ang_chi = chi.c * m.unit_dlogs % m.phi
+    ang_e = n * m.units % m.q
+    return complex((m.phi_roots[ang_chi] * m.q_roots[ang_e]).sum())
 
 
 def quadratic_gauss_closed(a: int, b: int, q: int) -> complex:
@@ -173,18 +166,7 @@ def near_one_root_number_check(m: PrimePowerModulus) -> VerificationReport:
     return VerificationReport("near-one", rows)
 
 
-@lru_cache(maxsize=32)
-def _coset_epsilon_terms(
-    spec: CosetSpec,
-) -> tuple[tuple[DirichletCharacter, complex], ...]:
-    # eps(eta) is reused across twists; cache per coset
-    rootq = math.sqrt(spec.base.modulus.q)
-    return tuple(
-        (eta, gauss_sum_brute(eta) / rootq) for eta in enumerate_coset(spec)
-    )
-
-
-def _require_eps_average_args(spec: CosetSpec, m: int):
+def _require_eps_average_spec(spec: CosetSpec):
     mod = spec.base.modulus
     if not spec.base.is_even:
         raise OddBase("epsilon averages are stated for even base characters")
@@ -194,19 +176,26 @@ def _require_eps_average_args(spec: CosetSpec, m: int):
         raise PreconditionViolated("need k >= 2")
     if not 1 <= spec.j < mod.k:
         raise PreconditionViolated(f"level {spec.j} outside [1, k)")
-    if m % mod.p == 0:
-        raise PreconditionViolated(f"twist {m} not a unit mod {mod.p}")
 
 
-def coset_epsilon_average(spec: CosetSpec, m: int) -> complex:
-    """Brute sum of eps(eta) conj(eta(m)) over the even coset members."""
-    _require_eps_average_args(spec, m)
-    return complex(
-        sum(
-            eps * eta(m).conjugate()
-            for eta, eps in _coset_epsilon_terms(spec)
-        )
-    )
+def _require_unit_twist(spec: CosetSpec, m: int):
+    p = spec.base.modulus.p
+    if m % p == 0:
+        raise PreconditionViolated(f"twist {m} not a unit mod {p}")
+
+
+def coset_epsilon_average(spec: CosetSpec, twists: Sequence[int]) -> list[complex]:
+    """Brute sum of eps(eta) conj(eta(m)) over the even coset members, one
+    per twist m; each member's eps is computed once for all twists."""
+    _require_eps_average_spec(spec)
+    for m in twists:
+        _require_unit_twist(spec, m)
+    rootq = math.sqrt(spec.base.modulus.q)
+    terms = [(eta, gauss_sum_brute(eta) / rootq) for eta in enumerate_coset(spec)]
+    return [
+        complex(sum(eps * eta(m).conjugate() for eta, eps in terms))
+        for m in twists
+    ]
 
 
 def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> complex:
@@ -218,7 +207,8 @@ def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> comple
         sum_{±} e_q(±m) [ell = ∓m mod p^j] e_{p^(k-2j)}((2 ell)^(-1) w^2),
         w = (ell ± m)/p^j.
     """
-    _require_eps_average_args(spec, m)
+    _require_eps_average_spec(spec)
+    _require_unit_twist(spec, m)
     mod = spec.base.modulus
     p, k, q, j = mod.p, mod.k, mod.q, spec.j
     ell = postnikov_ell(spec.base)

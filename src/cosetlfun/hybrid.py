@@ -42,40 +42,6 @@ def char_sum_S(chi: DirichletCharacter, h: int, j: int, n: int) -> complex:
     return complex(np.sum(shifted * np.conj(table) * phases))
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    """Scan configuration: modulus, subgroup level, shift/frequency caps,
-    and the time window for the hybrid quadrature."""
-
-    modulus: PrimePowerModulus
-    j: int
-    A: int
-    B: int
-    T: float = 10.0
-    T0: float = 2.0
-    t_step: float = 0.25
-
-    def __post_init__(self):
-        if not 0 <= self.j <= self.modulus.k:
-            raise PreconditionViolated(
-                f"level j = {self.j} outside [0, {self.modulus.k}]"
-            )
-        if self.A < 1 or self.B < 1:
-            raise PreconditionViolated("shift and frequency caps must be >= 1")
-        if not self.T0 > 0:
-            raise PreconditionViolated("window length T0 must be positive")
-        if not self.t_step > 0:
-            raise PreconditionViolated("quadrature step must be positive")
-        if self.t_step > self.T0 / 8:
-            raise QuadratureTooCoarse(
-                f"step {self.t_step} exceeds T0/8 = {self.T0 / 8}"
-            )
-
-    @property
-    def q0(self) -> int:
-        return self.modulus.p**self.j
-
-
 def _doubling(limit: int) -> list[int]:
     out = [1]
     while out[-1] * 2 <= limit:
@@ -107,53 +73,41 @@ class Lemma9Scan:
         return self.max_ratio <= factor * self.base_ratio
 
 
-def lemma9_scan(grid: ScanGrid) -> Lemma9Scan:
+def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     """|S| mass over 1 <= |h| <= A', 1 <= |n| <= B' against the envelope
-    sqrt(q) (A'B'/sqrt(q0) + (q q0 A')^(1/4)), for doubling (A', B'); plus
-    the n = 0 line against q0 * A'."""
-    m = grid.modulus
-    if m.q > MAX_SCAN_MODULUS or grid.A * grid.B > MAX_SCAN_CELLS:
+    sqrt(q) (A'B'/sqrt(q0) + (q q0 A')^(1/4)), for doubling (A', B') up to
+    the shift cap A and frequency cap B; plus the n = 0 line against q0 * A'."""
+    if not 0 <= j <= m.k:
+        raise PreconditionViolated(f"level j = {j} outside [0, {m.k}]")
+    if A < 1 or B < 1:
+        raise PreconditionViolated("shift and frequency caps must be >= 1")
+    if m.q > MAX_SCAN_MODULUS or A * B > MAX_SCAN_CELLS:
         raise PreconditionViolated(
-            f"scan size (q = {m.q}, A*B = {grid.A * grid.B}) over the cap"
+            f"scan size (q = {m.q}, A*B = {A * B}) over the cap"
         )
     chi = DirichletCharacter(m, 1)
-    q, q0 = m.q, grid.q0
+    q, q0 = m.q, m.p**j
 
-    # |S| for every cell once; grid points sum sub-blocks
-    abs_s = np.empty((grid.A, 2 * grid.B))
-    zero_col = np.empty(grid.A)
-    for ai in range(grid.A):
-        row = 0.0
-        cells = []
-        for sign in (1, -1):
-            h = sign * (ai + 1)
-            for n in range(1, grid.B + 1):
-                cells.append(abs(char_sum_S(chi, h, grid.j, n)))
-                cells.append(abs(char_sum_S(chi, h, grid.j, -n)))
-            row += abs(char_sum_S(chi, h, grid.j, 0))
-        # first 2B cells are h = +(ai+1), rest h = -(ai+1), same |n| order
-        abs_s[ai] = np.array(cells[: 2 * grid.B]) + np.array(cells[2 * grid.B :])
-        zero_col[ai] = row
+    # |S| for every cell once, the shifts +-h summed; grid points sum sub-blocks
+    freqs = [sn for n in range(1, B + 1) for sn in (n, -n)]
+    abs_s = np.zeros((A, 2 * B))
+    zero_col = np.zeros(A)
+    for ai in range(A):
+        for h in (ai + 1, -(ai + 1)):
+            abs_s[ai] += [abs(char_sum_S(chi, h, j, sn)) for sn in freqs]
+            zero_col[ai] += abs(char_sum_S(chi, h, j, 0))
 
     report = Lemma9Scan(noise_floor=1e-9 * math.sqrt(q))
-    for a_cap in _doubling(grid.A):
-        for b_cap in _doubling(grid.B):
+    for a_cap in _doubling(A):
+        for b_cap in _doubling(B):
             sum_s = float(abs_s[:a_cap, : 2 * b_cap].sum())
             envelope = math.sqrt(q) * (
                 a_cap * b_cap / math.sqrt(q0) + (q * q0 * a_cap) ** 0.25
             )
             ratio = sum_s / envelope
             report.rows.append(
-                {
-                    "kind": "offdiag",
-                    "q": q,
-                    "q0": q0,
-                    "A": a_cap,
-                    "B": b_cap,
-                    "sum_S": sum_s,
-                    "envelope": envelope,
-                    "ratio": ratio,
-                }
+                dict(kind="offdiag", q=q, q0=q0, A=a_cap, B=b_cap,
+                     sum_S=sum_s, envelope=envelope, ratio=ratio)
             )
             if report.base_ratio == 0.0 and sum_s > report.noise_floor:
                 report.base_ratio = ratio
@@ -163,30 +117,24 @@ def lemma9_scan(grid: ScanGrid) -> Lemma9Scan:
         zero_sum = float(zero_col[:a_cap].sum())
         zero_env = float(q0 * a_cap)
         report.rows.append(
-            {
-                "kind": "zero_line",
-                "q": q,
-                "q0": q0,
-                "A": a_cap,
-                "B": 0,
-                "sum_S": zero_sum,
-                "envelope": zero_env,
-                "ratio": zero_sum / zero_env,
-            }
+            dict(kind="zero_line", q=q, q0=q0, A=a_cap, B=0,
+                 sum_S=zero_sum, envelope=zero_env, ratio=zero_sum / zero_env)
         )
     return report
 
 
 @dataclass(frozen=True)
 class HybridQuadrature:
-    lhs: float
+    lhs: float  # on the step-t_step grid of `samples` points
+    halved_step_lhs: float  # on that grid plus every midpoint
     envelope: float
     ratio: float
     samples: int
 
 
 def hybrid_moment_quadrature(
-    grid: ScanGrid, chi: DirichletCharacter
+    chi: DirichletCharacter, j: int, T: float = 10.0, T0: float = 2.0,
+    t_step: float = 0.25,
 ) -> HybridQuadrature:
     """Trapezoid quadrature of the coset-summed |L(1/2+it)|^2 over one window.
 
@@ -194,21 +142,29 @@ def hybrid_moment_quadrature(
     for t in [T, T + T0]; the envelope is
     (T0 + T0^(-1/2) T^(1/2)) (q0 + q0^(-1/2) q^(1/2)).
     """
+    m = chi.modulus
+    if not 0 <= j <= m.k:
+        raise PreconditionViolated(f"level j = {j} outside [0, {m.k}]")
+    if not T0 > 0:
+        raise PreconditionViolated("window length T0 must be positive")
+    if not t_step > 0:
+        raise PreconditionViolated("quadrature step must be positive")
+    if t_step > T0 / 8:
+        raise QuadratureTooCoarse(f"step {t_step} exceeds T0/8 = {T0 / 8}")
     if not chi.is_primitive:
         raise PreconditionViolated("hybrid window needs a primitive base")
-    if grid.T0 > grid.T:
+    if T0 > T:
         raise PreconditionViolated("window needs T0 <= T")
-    members = enumerate_coset(CosetSpec(chi, grid.j, "all"))
-    num = max(8, math.ceil(grid.T0 / grid.t_step - 1e-12))
-    ts = np.linspace(grid.T, grid.T + grid.T0, num + 1)
-    ys = np.empty(num + 1)
-    for i, t in enumerate(ts):
-        ys[i] = sum(abs(l_value(eta, float(t)).value) ** 2 for eta in members)
-    lhs = float(np.trapezoid(ys, ts))
-
-    m = chi.modulus
-    q0 = grid.q0
-    envelope = (grid.T0 + grid.T0**-0.5 * math.sqrt(grid.T)) * (
-        q0 + q0**-0.5 * math.sqrt(m.q)
+    members = enumerate_coset(CosetSpec(chi, j, "all"))
+    num = math.ceil(T0 / t_step - 1e-12)  # >= 8, as t_step <= T0/8
+    # the even-index points are exactly np.linspace(T, T + T0, num + 1)
+    ts = np.linspace(T, T + T0, 2 * num + 1)
+    ys = np.array(
+        [sum(abs(l_value(eta, float(t)).value) ** 2 for eta in members) for t in ts]
     )
-    return HybridQuadrature(lhs, envelope, lhs / envelope, num + 1)
+    lhs = float(np.trapezoid(ys[::2], ts[::2]))
+    halved = float(np.trapezoid(ys, ts))
+
+    q0 = m.p**j
+    envelope = (T0 + T0**-0.5 * math.sqrt(T)) * (q0 + q0**-0.5 * math.sqrt(m.q))
+    return HybridQuadrature(lhs, halved, envelope, lhs / envelope, num + 1)

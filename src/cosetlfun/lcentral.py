@@ -132,7 +132,8 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
     return complex(vals[0])
 
 
-@lru_cache(maxsize=8)
+# each caller runs every character at one (q, t) before the next (q, t)
+@lru_cache(maxsize=1)
 def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
     """zeta(1/2 + it, a/q) for a = 1..q, the shared grid for one modulus.
 

@@ -16,13 +16,15 @@ import numpy as np
 
 from .errors import InvalidModulus, NotInvertible, NotOneUnit
 
-MAX_MODULUS = 2**40
+# below it phi^2 < 2^62, so the int64 angle products c * dlog and n * t of
+# character tables and Gauss sums are exact
+MAX_MODULUS = 2**31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^40 modulus cap."""
+    """Miller-Rabin to the first 12 prime bases, deterministic for n < 3.18e23."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -138,7 +140,7 @@ class PrimePowerModulus:
             raise InvalidModulus(f"{p} is not an odd prime")
         q = p**k
         if q > MAX_MODULUS:
-            raise InvalidModulus(f"q = {p}^{k} exceeds the 2^40 cap")
+            raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
         self.p = p
         self.k = k
         self.q = q

@@ -10,7 +10,7 @@ agree bit-for-bit in doubles here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .characters import (
     CosetSpec,
@@ -154,7 +154,6 @@ class MomentPrediction:
     A: float | None
     A_prime: float | None
     params: RecipeParams
-    digamma_quarter: float
 
     @property
     def secondary(self) -> float:
@@ -181,7 +180,6 @@ def predict_moment(
         A=a_term,
         A_prime=a_prime_term,
         params=params,
-        digamma_quarter=digamma(0.25),
     )
 
 
@@ -227,21 +225,7 @@ class MomentReport:
     error_scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "q0": self.q0,
-            "chi_exponent": self.chi_exponent,
-            "ell": self.ell,
-            "a_chi": self.a_chi,
-            "b_chi": self.b_chi,
-            "regime": self.regime,
-            "empirical": self.empirical,
-            "D": self.D,
-            "A": self.A,
-            "residual": self.residual,
-            "baseline_residual": self.baseline_residual,
-            "error_scale": self.error_scale,
-        }
+        return asdict(self)
 
 
 def error_scale(m: PrimePowerModulus, j: int, regime: str) -> float:

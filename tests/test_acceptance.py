@@ -27,7 +27,7 @@ from cosetlfun.gauss import (
     gauss_sum_odoni,
     near_one_root_number_check,
 )
-from cosetlfun.hybrid import ScanGrid, hybrid_moment_quadrature, lemma9_scan
+from cosetlfun.hybrid import hybrid_moment_quadrature, lemma9_scan
 from cosetlfun.lcentral import functional_equation_residual
 from cosetlfun.modular import is_prime, modulus, sample_units
 from cosetlfun.moments import (
@@ -138,8 +138,9 @@ def test_criterion_04_coset_epsilon_averages():
                 for c in even_primitive_exponents(m)[:2]:
                     spec = CosetSpec(DirichletCharacter(m, c), j, "even")
                     instances += 1
-                    for tw in sample_units(rng, m.q, p, 20):
-                        brute = coset_epsilon_average(spec, tw)
+                    twists = sample_units(rng, m.q, p, 20)
+                    averages = coset_epsilon_average(spec, twists)
+                    for tw, brute in zip(twists, averages):
                         for regime in regimes:
                             closed = coset_epsilon_average_closed(
                                 spec, tw, regime
@@ -313,18 +314,14 @@ def test_criterion_09_van_der_corput():
 def test_criterion_10_hybrid_scans():
     guards = []
     for k in (4, 5, 6):
-        scan = lemma9_scan(ScanGrid(modulus(3, k), 1, 16, 16))
+        scan = lemma9_scan(modulus(3, k), 1, 16, 16)
         guards.append((3**k, scan.soft_guard_ok(), scan.max_ratio,
                        scan.base_ratio))
     guard_ok = all(g[1] for g in guards)
 
     chi = DirichletCharacter(modulus(3, 4), 1)
-    coarse = hybrid_moment_quadrature(
-        ScanGrid(modulus(3, 4), 1, 1, 1, T=10.0, T0=2.0, t_step=0.25), chi
-    )
-    fine = hybrid_moment_quadrature(
-        ScanGrid(modulus(3, 4), 1, 1, 1, T=10.0, T0=2.0, t_step=0.125), chi
-    )
+    coarse = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.25)
+    fine = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.125)
     drift = abs(coarse.lhs - fine.lhs) / abs(fine.lhs)
     quad_ok = math.isfinite(coarse.ratio) and drift < 0.01
 

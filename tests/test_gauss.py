@@ -21,6 +21,7 @@ from cosetlfun.errors import (
     SharedFactor,
     UnsupportedRegime,
 )
+import cosetlfun.gauss as gauss_module
 from cosetlfun.gauss import (
     coset_epsilon_average,
     coset_epsilon_average_closed,
@@ -297,8 +298,9 @@ class TestCosetEpsilonAverage:
                     if not (base.is_primitive and base.is_even):
                         continue
                     spec = CosetSpec(base, j, "even")
-                    for tw in sample_units(rng, m.q, p, 6):
-                        brute = coset_epsilon_average(spec, tw)
+                    twists = sample_units(rng, m.q, p, 6)
+                    averages = coset_epsilon_average(spec, twists)
+                    for tw, brute in zip(twists, averages):
                         for regime in regimes:
                             closed = coset_epsilon_average_closed(spec, tw, regime)
                             assert abs(brute - closed) < 1e-9, (p, k, j, c, tw, regime)
@@ -317,13 +319,17 @@ class TestCosetEpsilonAverage:
         m = modulus(5, 4)
         spec = CosetSpec(DirichletCharacter(m, 3), 2, "even")
         with pytest.raises(OddBase):
-            coset_epsilon_average(spec, 1)
+            coset_epsilon_average(spec, [1])
+        with pytest.raises(OddBase):
+            coset_epsilon_average(spec, [])
 
     def test_rejects_wrong_parity_filter(self):
         m = modulus(5, 4)
         spec = CosetSpec(DirichletCharacter(m, 2), 2, "all")
         with pytest.raises(PreconditionViolated):
-            coset_epsilon_average(spec, 1)
+            coset_epsilon_average(spec, [1])
+        with pytest.raises(PreconditionViolated):
+            coset_epsilon_average(spec, [])
 
     def test_rejects_out_of_window_level(self):
         m = modulus(5, 4)
@@ -345,4 +351,19 @@ class TestCosetEpsilonAverage:
         m = modulus(5, 4)
         spec = CosetSpec(DirichletCharacter(m, 2), 2, "even")
         with pytest.raises(PreconditionViolated):
-            coset_epsilon_average(spec, 10)
+            coset_epsilon_average(spec, [1, 10])
+
+    def test_one_gauss_sum_per_member(self, monkeypatch):
+        m = modulus(5, 4)
+        spec = CosetSpec(DirichletCharacter(m, 2), 2, "even")
+        twists = sample_units(np.random.default_rng(5), m.q, 5, 10)
+        want = coset_epsilon_average(spec, twists)
+        seen = []
+
+        def counting(chi, n=1):
+            seen.append(chi.c)
+            return gauss_sum_brute(chi, n)
+
+        monkeypatch.setattr(gauss_module, "gauss_sum_brute", counting)
+        assert coset_epsilon_average(spec, twists) == want
+        assert sorted(seen) == [eta.c for eta in enumerate_coset(spec)]

@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from cosetlfun.characters import DirichletCharacter
+from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
 from cosetlfun.errors import PreconditionViolated, QuadratureTooCoarse
 from cosetlfun.hybrid import (
     MAX_SCAN_CELLS,
     MAX_SCAN_MODULUS,
     Lemma9Scan,
-    ScanGrid,
     char_sum_S,
     hybrid_moment_quadrature,
     lemma9_scan,
 )
+from cosetlfun.lcentral import l_value
 from cosetlfun.modular import modulus
 
 
@@ -101,36 +101,46 @@ class TestCharSumS:
 
 
 class TestScanGrid:
+    """Level, shift/frequency caps and time window, each checked by the
+    scan that reads it."""
+
     def test_valid(self):
-        g = ScanGrid(modulus(3, 4), 1, 4, 4)
-        assert g.q0 == 3
-        assert g.T == 10.0 and g.T0 == 2.0
+        m = modulus(3, 4)
+        assert {r["q0"] for r in lemma9_scan(m, 1, 4, 4).rows} == {3}
+        chi = DirichletCharacter(m, 1)
+        assert hybrid_moment_quadrature(chi, 1) == hybrid_moment_quadrature(
+            chi, 1, T=10.0, T0=2.0, t_step=0.25
+        )
 
     def test_rejects_bad_level(self):
+        m = modulus(3, 4)
         with pytest.raises(PreconditionViolated):
-            ScanGrid(modulus(3, 4), 5, 4, 4)
+            lemma9_scan(m, 5, 4, 4)
+        with pytest.raises(PreconditionViolated):
+            hybrid_moment_quadrature(DirichletCharacter(m, 1), 5)
 
     def test_rejects_bad_caps(self):
         with pytest.raises(PreconditionViolated):
-            ScanGrid(modulus(3, 4), 1, 0, 4)
+            lemma9_scan(modulus(3, 4), 1, 0, 4)
         with pytest.raises(PreconditionViolated):
-            ScanGrid(modulus(3, 4), 1, 4, -2)
+            lemma9_scan(modulus(3, 4), 1, 4, -2)
 
     def test_rejects_bad_window(self):
+        chi = DirichletCharacter(modulus(3, 4), 1)
         with pytest.raises(PreconditionViolated):
-            ScanGrid(modulus(3, 4), 1, 4, 4, T0=0.0)
+            hybrid_moment_quadrature(chi, 1, T0=0.0)
         with pytest.raises(PreconditionViolated):
-            ScanGrid(modulus(3, 4), 1, 4, 4, t_step=0.0)
+            hybrid_moment_quadrature(chi, 1, t_step=0.0)
 
     def test_rejects_coarse_step(self):
+        chi = DirichletCharacter(modulus(3, 4), 1)
         with pytest.raises(QuadratureTooCoarse):
-            ScanGrid(modulus(3, 4), 1, 4, 4, T0=2.0, t_step=0.5)
+            hybrid_moment_quadrature(chi, 1, T0=2.0, t_step=0.5)
 
 
 class TestLemma9Scan:
     def test_row_schema_and_count(self):
-        grid = ScanGrid(modulus(3, 4), 1, 4, 4)
-        scan = lemma9_scan(grid)
+        scan = lemma9_scan(modulus(3, 4), 1, 4, 4)
         offdiag = [r for r in scan.rows if r["kind"] == "offdiag"]
         zero = [r for r in scan.rows if r["kind"] == "zero_line"]
         assert len(offdiag) == 3 * 3  # doubling caps 1, 2, 4 each way
@@ -141,8 +151,7 @@ class TestLemma9Scan:
             assert r["ratio"] == pytest.approx(r["sum_S"] / r["envelope"])
 
     def test_cell_mass_matches_direct_sum(self):
-        grid = ScanGrid(modulus(3, 3), 1, 2, 4)
-        scan = lemma9_scan(grid)
+        scan = lemma9_scan(modulus(3, 3), 1, 2, 4)
         chi = DirichletCharacter(modulus(3, 3), 1)
         for row in scan.rows:
             if row["kind"] != "offdiag":
@@ -155,8 +164,7 @@ class TestLemma9Scan:
             assert row["sum_S"] == pytest.approx(want, abs=1e-8)
 
     def test_zero_line_matches_direct_sum(self):
-        grid = ScanGrid(modulus(3, 3), 1, 2, 2)
-        scan = lemma9_scan(grid)
+        scan = lemma9_scan(modulus(3, 3), 1, 2, 2)
         chi = DirichletCharacter(modulus(3, 3), 1)
         for row in scan.rows:
             if row["kind"] != "zero_line":
@@ -171,7 +179,7 @@ class TestLemma9Scan:
 
     def test_guard_holds_at_level_one(self):
         for k in (4, 5):
-            scan = lemma9_scan(ScanGrid(modulus(3, k), 1, 16, 16))
+            scan = lemma9_scan(modulus(3, k), 1, 16, 16)
             assert scan.max_mass > scan.noise_floor
             assert scan.soft_guard_ok()
 
@@ -179,56 +187,60 @@ class TestLemma9Scan:
         # j = 2 at q = 243 with B < 9: no scanned n is a multiple of q0,
         # every cell is a structural zero, and the guard must not divide
         # by a noise-level base cell
-        scan = lemma9_scan(ScanGrid(modulus(3, 5), 2, 8, 8))
+        scan = lemma9_scan(modulus(3, 5), 2, 8, 8)
         assert scan.max_mass <= scan.noise_floor
         assert scan.base_ratio == 0.0
         assert scan.soft_guard_ok()
 
     def test_caps_enforced(self):
         with pytest.raises(PreconditionViolated):
-            lemma9_scan(ScanGrid(modulus(3, 7), 1, 4, 4))
+            lemma9_scan(modulus(3, 7), 1, 4, 4)
         with pytest.raises(PreconditionViolated):
-            lemma9_scan(ScanGrid(modulus(3, 4), 1, 32, 32))
+            lemma9_scan(modulus(3, 4), 1, 32, 32)
 
     def test_guard_factor_sensitivity(self):
-        scan = lemma9_scan(ScanGrid(modulus(3, 4), 1, 16, 16))
+        scan = lemma9_scan(modulus(3, 4), 1, 16, 16)
         assert scan.soft_guard_ok(factor=1e9)
         assert not scan.soft_guard_ok(factor=1e-9)
 
 
 class TestHybridQuadrature:
     def test_basic_run(self):
-        grid = ScanGrid(modulus(3, 4), 1, 1, 1, T=10.0, T0=2.0, t_step=0.25)
         chi = DirichletCharacter(modulus(3, 4), 1)
-        out = hybrid_moment_quadrature(grid, chi)
+        out = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.25)
         assert out.samples == 9
         assert out.lhs > 0
         assert out.ratio == pytest.approx(out.lhs / out.envelope)
 
     def test_envelope_formula(self):
-        grid = ScanGrid(modulus(3, 4), 1, 1, 1, T=10.0, T0=2.0, t_step=0.25)
         chi = DirichletCharacter(modulus(3, 4), 1)
-        out = hybrid_moment_quadrature(grid, chi)
+        out = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.25)
         want = (2.0 + 2.0**-0.5 * math.sqrt(10.0)) * (3 + 3**-0.5 * 9.0)
         assert out.envelope == pytest.approx(want, rel=1e-13)
 
     def test_step_halving_converges(self):
         chi = DirichletCharacter(modulus(3, 4), 1)
-        coarse = hybrid_moment_quadrature(
-            ScanGrid(modulus(3, 4), 1, 1, 1, T=10.0, T0=2.0, t_step=0.25), chi
-        )
-        fine = hybrid_moment_quadrature(
-            ScanGrid(modulus(3, 4), 1, 1, 1, T=10.0, T0=2.0, t_step=0.125), chi
-        )
+        coarse = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.25)
+        fine = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.125)
         assert abs(coarse.lhs - fine.lhs) < 0.01 * abs(fine.lhs)
 
     def test_rejects_window_past_T(self):
-        grid = ScanGrid(modulus(3, 4), 1, 1, 1, T=1.0, T0=2.0, t_step=0.25)
         chi = DirichletCharacter(modulus(3, 4), 1)
         with pytest.raises(PreconditionViolated):
-            hybrid_moment_quadrature(grid, chi)
+            hybrid_moment_quadrature(chi, 1, T=1.0, T0=2.0, t_step=0.25)
 
     def test_rejects_imprimitive_base(self):
-        grid = ScanGrid(modulus(3, 4), 1, 1, 1)
         with pytest.raises(PreconditionViolated):
-            hybrid_moment_quadrature(grid, DirichletCharacter(modulus(3, 4), 3))
+            hybrid_moment_quadrature(DirichletCharacter(modulus(3, 4), 3), 1)
+
+    def test_halved_step_on_non_nesting_step(self):
+        # T0/t_step = 8.33: the lhs grid has num = 9 steps, and halving the
+        # step gives 17 where splitting every step gives 18
+        chi = DirichletCharacter(modulus(3, 4), 1)
+        out = hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=0.24)
+        members = enumerate_coset(CosetSpec(chi, 1, "all"))
+        ts = 10.0 + np.arange(19) * (2.0 / 18)
+        ys = [sum(abs(l_value(eta, t).value) ** 2 for eta in members) for t in ts]
+        assert out.samples == 10
+        assert out.lhs == pytest.approx(np.trapezoid(ys[::2], ts[::2]), rel=1e-12)
+        assert out.halved_step_lhs == pytest.approx(np.trapezoid(ys, ts), rel=1e-12)

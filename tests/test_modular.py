@@ -186,7 +186,9 @@ class TestPrimePowerModulus:
             with pytest.raises(InvalidModulus):
                 PrimePowerModulus(p, k)
         with pytest.raises(InvalidModulus):
-            PrimePowerModulus(3, 90)  # beyond the 2^40 cap
+            PrimePowerModulus(3, 90)  # beyond the 2^31 cap
+        with pytest.raises(InvalidModulus):
+            PrimePowerModulus(3, 20)  # 3.5e9: rejected before any table
 
     def test_generator_generates(self):
         for p, k in ((3, 1), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)):
@@ -233,7 +235,7 @@ class TestPrimePowerModulus:
         assert hash(modulus(3, 4)) == hash(PrimePowerModulus(3, 4))
 
     def test_max_modulus_constant(self):
-        assert MAX_MODULUS == 2**40
+        assert MAX_MODULUS == 2**31
 
 
 class TestPadicLog:
