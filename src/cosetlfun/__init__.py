@@ -53,6 +53,7 @@ from .gauss import (
     GaussSumResult,
     coset_epsilon_average,
     coset_epsilon_average_closed,
+    eps_regimes,
     gauss_ratio_check,
     gauss_sum_brute,
     gauss_sum_odoni,
@@ -103,7 +104,7 @@ from .hybrid import (
     hybrid_moment_quadrature,
     lemma9_scan,
 )
-from .report import VerificationReport, VerificationRow, render_rows
+from .report import rel_err, render_rows
 
 __version__ = "0.1.0"
 

@@ -29,6 +29,7 @@ from .errors import ConfigError, CosetLFunError
 from .gauss import (
     coset_epsilon_average,
     coset_epsilon_average_closed,
+    eps_regimes,
     gauss_ratio_check,
     gauss_sum_brute,
     gauss_sum_odoni,
@@ -36,8 +37,8 @@ from .gauss import (
 )
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
 from .modular import modulus, sample_units
-from .moments import classify_regime, moment_report, recipe_params
-from .report import render_rows
+from .moments import moment_report, recipe_params
+from .report import rel_err, render_rows
 from .vdc import (
     FiniteSequence,
     amplified_l2_identity,
@@ -64,14 +65,13 @@ class RunResult:
         self.rows.append(dict(zip(self.keys, cells, strict=True)))
 
 
-def eps_regimes(p: int, k: int, j: int) -> list:
-    """Closed-form regimes of the coset epsilon average at level j mod p^k."""
-    out = []
-    if (k + 1) // 2 <= j < k:
-        out.append("linear")
-    if p >= 5 and -(-k // 3) <= j <= k // 2:
-        out.append("quadratic")
-    return out
+def even_bases(m) -> list:
+    """`even_primitive_exponents(m)`, refusing an empty list: the library
+    checks the level and window on each character, and mod 3 has none."""
+    cs = even_primitive_exponents(m)
+    if not cs:
+        raise ConfigError(f"no even primitive character mod {m.q}")
+    return cs
 
 
 # ---------------------------------------------------------------- subcommands
@@ -80,13 +80,6 @@ def eps_regimes(p: int, k: int, j: int) -> list:
 def cmd_gauss_verify(args: argparse.Namespace, res: RunResult) -> None:
     """Closed-form Gauss sums against brute summation, all primitive chi."""
     for p, k in itertools.product(args.p, args.k):
-        if k < 2:
-            raise ConfigError(f"gauss-verify needs k >= 2, got k = {k}")
-        if k % 2 == 1 and p == 3:
-            raise ConfigError(
-                f"odd k with p = 3 (requested k = {k}) has no closed form; "
-                "the library guard raises UnsupportedRegime for it"
-            )
         m = modulus(p, k)
         for c in primitive_exponents(m):
             chi = DirichletCharacter(m, c)
@@ -123,8 +116,6 @@ def cmd_ratio(args: argparse.Namespace, res: RunResult) -> None:
     """Gauss-sum ratios along a coset against the character-value formula."""
     rng = np.random.default_rng(args.seed)
     for p, k in itertools.product(args.p, args.k):
-        if k < 2:
-            raise ConfigError(f"ratio needs k >= 2, got k = {k}")
         m = modulus(p, k)
         # enumerate pairs whose ratio conductor divides p^floor(k/2): on that
         # window the collapsed formula holds for every k; at the ceil boundary
@@ -139,17 +130,16 @@ def cmd_ratio(args: argparse.Namespace, res: RunResult) -> None:
                     continue
                 chi2 = DirichletCharacter(m, c2)
                 for tw in twists:
-                    row = gauss_ratio_check(chi1, chi2, tw).rows[0]
-                    res.add(m.q, c1, c2, tw, row.brute, row.closed, row.rel_err)
+                    brute, closed = gauss_ratio_check(chi1, chi2, tw)
+                    res.add(m.q, c1, c2, tw, brute, closed, rel_err(brute, closed))
 
 
 def cmd_near_one(args: argparse.Namespace, res: RunResult) -> None:
     """Cosets pinned near the trivial logarithm parameter: fixed root number."""
     for p, k in itertools.product(args.p, args.k):
-        if k % 2 != 0:
-            raise ConfigError(f"near-one needs even k, got k = {k}")
-        for row in near_one_root_number_check(modulus(p, k)).rows:
-            res.add(p**k, row.instance, row.brute, row.closed, row.rel_err)
+        m = modulus(p, k)
+        for psi, brute, closed in near_one_root_number_check(m):
+            res.add(m.q, f"q={m.q} c={psi.c}", brute, closed, rel_err(brute, closed))
 
 
 def cmd_moment(args: argparse.Namespace, res: RunResult) -> None:
@@ -158,19 +148,10 @@ def cmd_moment(args: argparse.Namespace, res: RunResult) -> None:
         raise ConfigError("moment needs an explicit --j grid")
     for p, k in itertools.product(args.p, args.k):
         for j in args.j:
-            regime = classify_regime(k, j)
-            if regime == "none":
-                raise ConfigError(
-                    f"(k, j) = ({k}, {j}) fits no prediction window"
-                )
-            if regime == "thm12" and p < 5:
-                raise ConfigError(
-                    f"quadratic-regime prediction needs p >= 5, got p = {p}"
-                )
             m = modulus(p, k)
             rows = [
                 moment_report(DirichletCharacter(m, c), j, args.retain_phase).to_dict()
-                for c in even_primitive_exponents(m)
+                for c in even_bases(m)
             ]
             improved = sum(
                 1 for r in rows if abs(r["residual"]) < abs(r["baseline_residual"])
@@ -198,10 +179,8 @@ def cmd_recipe(args: argparse.Namespace, res: RunResult) -> None:
         raise ConfigError("recipe needs an explicit --j grid")
     for p, k in itertools.product(args.p, args.k):
         for j in args.j:
-            if not 1 <= j < k:
-                raise ConfigError(f"recipe needs 1 <= j < k, got (k, j) = ({k}, {j})")
             m = modulus(p, k)
-            for c in even_primitive_exponents(m):
+            for c in even_bases(m):
                 params = recipe_params(DirichletCharacter(m, c), j)
                 qkj = p ** (k - j)
                 q0 = p**j
@@ -257,8 +236,6 @@ def cmd_shift_identity(args: argparse.Namespace, res: RunResult) -> None:
     for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
         for j in args.j or range(0, k + 1):
-            if not 0 <= j <= k:
-                raise ConfigError(f"shift-identity needs 0 <= j <= k, got j = {j}")
             for i in range(args.trials):
                 c = int(rng.choice(primitive_exponents(m)))
                 seq = random_sequence(50, rng)

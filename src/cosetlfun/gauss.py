@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .characters import (
     CosetSpec,
     DirichletCharacter,
+    character_with_ell,
     enumerate_coset,
     phi_prime_power,
     postnikov_ell,
@@ -35,7 +36,6 @@ from .modular import (
     mod_inverse,
     root_of_unity,
 )
-from .report import VerificationReport, verification_row
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ def root_number(chi: DirichletCharacter) -> complex:
 
 def gauss_ratio_check(
     chi1: DirichletCharacter, chi2: DirichletCharacter, m: int
-) -> VerificationReport:
-    """Check tau(chi1, m)/tau(chi2, m) = (chi1 chibar2)(-ell_1 / m).
+) -> tuple[complex, complex]:
+    """Both sides of tau(chi1, m)/tau(chi2, m) = (chi1 chibar2)(-ell_1 / m),
+    as (brute, closed).
 
     Valid when both characters are primitive mod p^k and their ratio has
     conductor dividing p^ceil(k/2).
@@ -136,45 +137,35 @@ def gauss_ratio_check(
         )
     brute = gauss_sum_brute(chi1, m) / gauss_sum_brute(chi2, m)
     ell1 = postnikov_ell(chi1)
-    closed = prod(-ell1 * mod_inverse(m, mod.q))
-    row = verification_row(
-        f"q={mod.q} c1={chi1.c} c2={chi2.c} m={m % mod.q}",
-        brute,
-        closed,
-    )
-    return VerificationReport("gauss-ratio", [row])
+    return brute, prod(-ell1 * mod_inverse(m, mod.q))
 
 
-def near_one_root_number_check(m: PrimePowerModulus) -> VerificationReport:
-    """Gauss sums on the coset pinned by ell = -1 mod p^n, k = 2n.
+def near_one_root_number_check(
+    m: PrimePowerModulus,
+) -> list[tuple[DirichletCharacter, complex, complex]]:
+    """Gauss sums on the coset pinned by ell = -1 mod p^n, k = 2n, as one
+    (member, brute, closed) triple per member.
 
     Every member has tau = p^n e_q(1): the collapsed summand sits at t0 = 1
     and the character factor drops out.
     """
-    from .characters import character_with_ell
-
     if m.k % 2 != 0:
         raise PreconditionViolated("near-one construction needs even k")
     n_half = m.k // 2
     base = character_with_ell(m, m.p ** (m.k - 1) - 1)
     expected = m.p**n_half * root_of_unity(1, m.q)
-    rows = []
-    for psi in enumerate_coset(CosetSpec(base, n_half, "all")):
-        rows.append(
-            verification_row(f"q={m.q} c={psi.c}", gauss_sum_brute(psi), expected)
-        )
-    return VerificationReport("near-one", rows)
+    return [
+        (psi, gauss_sum_brute(psi), expected)
+        for psi in enumerate_coset(CosetSpec(base, n_half, "all"))
+    ]
 
 
 def _require_eps_average_spec(spec: CosetSpec):
-    mod = spec.base.modulus
     if not spec.base.is_even:
         raise OddBase("epsilon averages are stated for even base characters")
     if spec.parity != "even":
         raise PreconditionViolated("epsilon averages run over the even coset")
-    if mod.k < 2:
-        raise PreconditionViolated("need k >= 2")
-    if not 1 <= spec.j < mod.k:
+    if not 1 <= spec.j < spec.base.modulus.k:
         raise PreconditionViolated(f"level {spec.j} outside [1, k)")
 
 
@@ -198,12 +189,23 @@ def coset_epsilon_average(spec: CosetSpec, twists: Sequence[int]) -> list[comple
     ]
 
 
-def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> complex:
-    """Closed form of the eps average in the linear or quadratic regime.
+def eps_regimes(p: int, k: int, j: int) -> list:
+    """Closed-form regimes of the coset epsilon average at level j mod p^k:
+    linear for k/2 <= j < k, quadratic for k/3 <= j <= k/2 and p >= 5."""
+    out = []
+    if (k + 1) // 2 <= j < k:
+        out.append("linear")
+    if p >= 5 and -(-k // 3) <= j <= k // 2:
+        out.append("quadratic")
+    return out
 
-    linear   (k/2 <= j < k):   q^(1/2) phi(p^j)/(2 p^j) *
+
+def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> complex:
+    """Closed form of the eps average in one of `eps_regimes(p, k, j)`.
+
+    linear:   q^(1/2) phi(p^j)/(2 p^j) *
         sum_{±} e_q(±m) [ell = ∓m mod p^(k-j)]
-    quadratic (k/3 <= j <= k/2, p >= 5):   phi(p^j)/2 * (-2 ell|q) eps_q *
+    quadratic:   phi(p^j)/2 * (-2 ell|q) eps_q *
         sum_{±} e_q(±m) [ell = ∓m mod p^j] e_{p^(k-2j)}((2 ell)^(-1) w^2),
         w = (ell ± m)/p^j.
     """
@@ -211,32 +213,28 @@ def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> comple
     _require_unit_twist(spec, m)
     mod = spec.base.modulus
     p, k, q, j = mod.p, mod.k, mod.q, spec.j
+    if regime not in eps_regimes(p, k, j):
+        raise RegimeMismatch(
+            f"regime {regime!r} does not hold at (p, k, j) = ({p}, {k}, {j})"
+        )
     ell = postnikov_ell(spec.base)
     size = phi_prime_power(p, j)
     if regime == "linear":
-        if not math.ceil(k / 2) <= j < k:
-            raise RegimeMismatch(f"linear window needs k/2 <= {j} < {k}")
         pkj = p ** (k - j)
         total = 0j
         for sign in (1, -1):
             if (ell + sign * m) % pkj == 0:
                 total += root_of_unity(sign * m, q)
         return math.sqrt(q) * size / (2 * p**j) * total
-    if regime == "quadratic":
-        if p < 5:
-            raise RegimeMismatch("quadratic window needs p >= 5")
-        if not math.ceil(k / 3) <= j <= k // 2:
-            raise RegimeMismatch(f"quadratic window needs k/3 <= {j} <= k/2")
-        pj = p**j
-        big_q = p ** (k - 2 * j)
-        total = 0j
-        for sign in (1, -1):
-            if (ell + sign * m) % pj != 0:
-                continue
-            w = (ell + sign * m) // pj
-            term = root_of_unity(sign * m, q)
-            if big_q > 1:
-                term *= root_of_unity(mod_inverse(2 * ell, big_q) * w * w, big_q)
-            total += term
-        return size / 2 * jacobi_symbol(-2 * ell, q) * epsilon_q(q) * total
-    raise RegimeMismatch(f"unknown regime {regime!r}")
+    pj = p**j
+    big_q = p ** (k - 2 * j)
+    total = 0j
+    for sign in (1, -1):
+        if (ell + sign * m) % pj != 0:
+            continue
+        w = (ell + sign * m) // pj
+        term = root_of_unity(sign * m, q)
+        if big_q > 1:
+            term *= root_of_unity(mod_inverse(2 * ell, big_q) * w * w, big_q)
+        total += term
+    return size / 2 * jacobi_symbol(-2 * ell, q) * epsilon_q(q) * total

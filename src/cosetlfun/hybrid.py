@@ -10,6 +10,7 @@ guard on the ratio and quadrature self-consistency.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,15 @@ MAX_SCAN_MODULUS = 3**6
 MAX_SCAN_CELLS = 256
 
 
-def char_sum_S(chi: DirichletCharacter, h: int, j: int, n: int) -> complex:
-    """sum over alpha mod q of chi(alpha + h*q0) conj(chi(alpha)) e_q(alpha n).
+def char_sum_S(
+    chi: DirichletCharacter, h: int, j: int, freqs: Sequence[int]
+) -> list[complex]:
+    """sum over alpha mod q of chi(alpha + h*q0) conj(chi(alpha)) e_q(alpha n),
+    one value per frequency n in `freqs`.
 
     Direct summation; terms where alpha or alpha + h*q0 shares a factor with
-    q vanish through the character table.
+    q vanish through the character table.  The weight is formed once per
+    shift and each frequency sums it against its own phase vector.
     """
     m = chi.modulus
     if not 0 <= j <= m.k:
@@ -37,9 +42,11 @@ def char_sum_S(chi: DirichletCharacter, h: int, j: int, n: int) -> complex:
     q0 = m.p**j
     table = chi.value_table()
     alpha = np.arange(q)
-    shifted = table[(alpha + h * q0) % q]
-    phases = np.exp((2j * np.pi * (n % q) / q) * alpha)
-    return complex(np.sum(shifted * np.conj(table) * phases))
+    w = table[(alpha + h * q0) % q] * np.conj(table)
+    return [
+        complex(np.sum(w * np.exp((2j * np.pi * (n % q) / q) * alpha)))
+        for n in freqs
+    ]
 
 
 def _doubling(limit: int) -> list[int]:
@@ -94,8 +101,9 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     zero_col = np.zeros(A)
     for ai in range(A):
         for h in (ai + 1, -(ai + 1)):
-            abs_s[ai] += [abs(char_sum_S(chi, h, j, sn)) for sn in freqs]
-            zero_col[ai] += abs(char_sum_S(chi, h, j, 0))
+            *sums, zero = map(abs, char_sum_S(chi, h, j, freqs + [0]))
+            abs_s[ai] += sums
+            zero_col[ai] += zero
 
     report = Lemma9Scan(noise_floor=1e-9 * math.sqrt(q))
     for a_cap in _doubling(A):

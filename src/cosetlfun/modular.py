@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -107,30 +108,38 @@ def sample_units(rng: np.random.Generator, q: int, p: int, count: int) -> list:
     return out
 
 
-def divisor_count(n: int) -> int:
-    """Number of divisors of n >= 1, by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"divisor count needs n >= 1, got {n}")
-    count = 1
+def _factor(n: int) -> dict:
+    """Prime factorization {prime: exponent} of n >= 1, by trial division."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            count *= e + 1
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        count *= 2
-    return count
+        out[n] = 1
+    return out
+
+
+def divisor_count(n: int) -> int:
+    """Number of divisors of n >= 1."""
+    if n < 1:
+        raise ValueError(f"divisor count needs n >= 1, got {n}")
+    return math.prod(e + 1 for e in _factor(n).values())
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class PrimePowerModulus:
     """An odd prime power q = p^k with a fixed generator of (Z/q)*.
 
     The discrete-log table is built eagerly: O(q) memory, intended for the
-    desk-scale grids q <= 10^6 the verification suites run on.
+    desk-scale grids q <= 10^6 the verification suites run on, and refused
+    before allocation when it exceeds the physical memory.
     """
 
     def __init__(self, p: int, k: int):
@@ -141,6 +150,12 @@ class PrimePowerModulus:
         q = p**k
         if q > MAX_MODULUS:
             raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
+        table_bytes = 8 * q
+        if table_bytes > _physical_memory():
+            raise InvalidModulus(
+                f"the dlog table mod {p}^{k} needs {table_bytes} bytes, "
+                "more than the physical memory"
+            )
         self.p = p
         self.k = k
         self.q = q
@@ -153,16 +168,7 @@ class PrimePowerModulus:
         # against p^min(k,2) identifies the least generator mod p^k.
         m = self.p ** min(self.k, 2)
         phi = m // self.p * (self.p - 1) if m > self.p else self.p - 1
-        prime_factors = set()
-        n, d = phi, 2
-        while d * d <= n:
-            if n % d == 0:
-                prime_factors.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            prime_factors.add(n)
+        prime_factors = _factor(phi)
         g = 2
         while True:
             if all(pow(g, phi // r, m) != 1 for r in prime_factors):

@@ -132,7 +132,7 @@ def predict_A_prime(
         raise RegimeMismatch(f"window {params.regime} does not give this term")
     m = chi.modulus
     if m.p < 5:
-        raise RegimeMismatch("this window needs p >= 5")
+        raise RegimeMismatch(f"the window 2j <= k <= 3j needs p >= 5, got p = {m.p}")
     a, b = params.a_chi, params.b_chi
     abs_b = abs(b)
     jac = jacobi_symbol(2 * a, m.q)
@@ -173,7 +173,9 @@ def predict_moment(
     a_prime_term = None
     if params.regime in ("thm11", "both"):
         a_term = predict_A(chi, j, retain_phase)
-    if params.regime in ("thm12", "both") and chi.modulus.p >= 5:
+    # at k = 2j the first window's term already covers p = 3; in the second
+    # window alone predict_A_prime raises for it
+    if params.regime == "thm12" or (params.regime == "both" and chi.modulus.p >= 5):
         a_prime_term = predict_A_prime(chi, j, retain_phase)
     return MomentPrediction(
         D=d_term,

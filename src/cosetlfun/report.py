@@ -1,4 +1,4 @@
-"""Row records and deterministic CSV / JSON-lines serialization.
+"""Relative error and deterministic CSV / JSON-lines serialization.
 
 Output files are meant to be byte-reproducible for a fixed configuration:
 rows are emitted in a sorted or otherwise fixed order by the callers and
@@ -9,54 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    """One brute-vs-closed comparison."""
-
-    instance: str
-    brute: complex
-    closed: complex
-    abs_err: float
-    rel_err: float
-
-
-def verification_row(instance: str, brute: complex, closed: complex) -> VerificationRow:
-    """Build a row; the relative error is taken against the larger magnitude."""
+def rel_err(brute: complex, closed: complex) -> float:
+    """|brute - closed| against the larger magnitude (absolute if both vanish)."""
     abs_err = abs(brute - closed)
     scale = max(abs(brute), abs(closed))
-    rel_err = abs_err / scale if scale > 0 else abs_err
-    return VerificationRow(instance, brute, closed, abs_err, rel_err)
-
-
-@dataclass
-class VerificationReport:
-    """A batch of comparison rows under one name."""
-
-    name: str
-    rows: list
-
-    @property
-    def max_abs_err(self) -> float:
-        return max((r.abs_err for r in self.rows), default=0.0)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((r.rel_err for r in self.rows), default=0.0)
-
-    def within(self, rel: float | None = None, abs_: float | None = None) -> bool:
-        ok = True
-        if rel is not None:
-            ok &= self.max_rel_err <= rel
-        if abs_ is not None:
-            ok &= self.max_abs_err <= abs_
-        return ok
+    return abs_err / scale if scale > 0 else abs_err
 
 
 def _json_value(v) -> str:
@@ -85,10 +48,7 @@ def _flatten_csv(d: dict) -> dict:
     flat = {}
     for k, v in d.items():
         if isinstance(v, (list, tuple)):
-            if len(v) == 2:
-                flat[f"{k}_re"], flat[f"{k}_im"] = v
-            else:
-                flat[k] = " ".join(str(u) for u in v)
+            flat[f"{k}_re"], flat[f"{k}_im"] = v
         else:
             flat[k] = v
     return flat

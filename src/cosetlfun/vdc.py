@@ -68,19 +68,15 @@ def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
     return complex(np.vdot(arr[-h:], arr[: n + h]))
 
 
-def _symmetric_shift_sum(a: FiniteSequence, weight) -> float:
-    """sum_{|h| < H} weight(|h|) * C(h), folded pairwise so it is exactly real.
+def _symmetric_shift_sum(a: FiniteSequence, weights: list) -> float:
+    """sum_{|h| < H} weights[|h|] * C(h) with H = len(weights), folded
+    pairwise so it is exactly real.
 
     C(-h) = conj(C(h)), so the h and -h terms sum to 2*Re(weight * C(h)).
     """
-    total = weight(0) * shifted_autocorrelation(a, 0).real
-    h = 1
-    while True:
-        w = weight(h)
-        if w is None:
-            break
-        total += 2.0 * w * shifted_autocorrelation(a, h).real
-        h += 1
+    total = weights[0] * shifted_autocorrelation(a, 0).real
+    for h in range(1, len(weights)):
+        total += 2.0 * weights[h] * shifted_autocorrelation(a, h).real
     return total
 
 
@@ -97,13 +93,7 @@ def vdc_inequality_check(a: FiniteSequence, H: int) -> tuple[float, float]:
     N = len(a)
     arr = a.as_array()
     lhs = abs(arr.sum()) ** 2
-
-    def weight(h: int):
-        if h >= H:
-            return None
-        return 1.0 - h / H
-
-    rhs = (1.0 + N / H) * _symmetric_shift_sum(a, weight)
+    rhs = (1.0 + N / H) * _symmetric_shift_sum(a, [1.0 - h / H for h in range(H)])
     return float(lhs), float(rhs)
 
 
@@ -126,13 +116,7 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
         raise BadShiftBound(f"kernel length H = {H} must be >= 1")
     conv = np.convolve(np.ones(H, dtype=np.complex128), a.as_array())
     lhs = float(np.sum(np.abs(conv) ** 2))
-
-    def weight(h: int):
-        if h >= H:
-            return None
-        return float(H - h)
-
-    rhs = _symmetric_shift_sum(a, weight)
+    rhs = _symmetric_shift_sum(a, [float(H - h) for h in range(H)])
     return lhs, rhs
 
 

@@ -78,7 +78,35 @@ def test_report_columns_match_help(name, capsys):
         assert keys == columns
 
 
+# inputs no handler can run on, with the start of the error line each gives:
+# a library guard's exception type, or a check only the CLI makes
+REJECTED = [
+    (["gauss-verify", "--p", "5", "--k", "1"], "error: UnsupportedRegime:"),
+    (["gauss-verify", "--p", "3", "--k", "3"], "error: UnsupportedRegime:"),
+    (["ratio", "--p", "5", "--k", "1"], "error: DegenerateConductor:"),
+    (["near-one", "--p", "3", "--k", "3"], "error: PreconditionViolated:"),
+    (["moment", "--p", "5", "--k", "4", "--j", "1"], "error: RegimeMismatch:"),
+    (["moment", "--p", "3", "--k", "5", "--j", "2"], "error: RegimeMismatch:"),
+    (["recipe", "--p", "5", "--k", "4", "--j", "4"], "error: PreconditionViolated:"),
+    (["shift-identity", "--p", "5", "--k", "2", "--j", "3"], "error: PreconditionViolated:"),
+    (["moment", "--p", "5", "--k", "4"], "config error:"),
+    (["moment", "--p", "3", "--k", "1", "--j", "1"], "config error:"),
+    (["recipe", "--p", "3", "--k", "1", "--j", "1"], "config error:"),
+    (["coset-eps", "--p", "5", "--k", "1"], "config error:"),
+    (["coset-eps", "--p", "5", "--k", "4", "--j", "1"], "config error:"),
+]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv,prefix", REJECTED, ids=[" ".join(a) for a, _ in REJECTED]
+    )
+    def test_rejected_input(self, argv, prefix, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith(prefix)
+
     def test_even_prime_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify", "--p", "2", "--k", "3")
         assert code == 2
@@ -96,7 +124,7 @@ class TestConfigErrors:
     def test_gauss_verify_p3_odd_k_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify", "--p", "3", "--k", "3")
         assert code == 2
-        assert "config error" in err
+        assert "UnsupportedRegime" in err
 
     def test_moment_needs_level(self, capsys):
         code, _, err = run_cli(capsys, "moment", "--p", "5", "--k", "4")

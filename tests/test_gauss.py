@@ -12,7 +12,6 @@ from cosetlfun.characters import (
     enumerate_coset,
     postnikov_ell,
 )
-from cosetlfun.cli import eps_regimes
 from cosetlfun.errors import (
     NotPrimitive,
     OddBase,
@@ -25,6 +24,7 @@ import cosetlfun.gauss as gauss_module
 from cosetlfun.gauss import (
     coset_epsilon_average,
     coset_epsilon_average_closed,
+    eps_regimes,
     gauss_ratio_check,
     gauss_sum_brute,
     gauss_sum_odoni,
@@ -33,6 +33,7 @@ from cosetlfun.gauss import (
     root_number,
 )
 from cosetlfun.modular import modulus, sample_units
+from cosetlfun.report import rel_err
 
 
 class TestGaussSumBrute:
@@ -192,8 +193,8 @@ class TestGaussRatio:
                 if (chi1 * chi2.conjugate()).conductor > 3**2:
                     continue
                 for tw in (1, 2, 5):
-                    rep = gauss_ratio_check(chi1, chi2, tw)
-                    assert rep.max_abs_err < 1e-9, (c1, c2, tw)
+                    brute, closed = gauss_ratio_check(chi1, chi2, tw)
+                    assert abs(brute - closed) < 1e-9, (c1, c2, tw)
 
     def test_exhaustive_odd_k_floor_window(self):
         # ratio conductor dividing p^floor(k/2): formula exact for odd k too
@@ -209,8 +210,8 @@ class TestGaussRatio:
                     chi2 = DirichletCharacter(m, c2)
                     if (chi1 * chi2.conjugate()).conductor > p:
                         continue
-                    rep = gauss_ratio_check(chi1, chi2, 2)
-                    assert rep.max_abs_err < 1e-9, (p, c1, c2)
+                    brute, closed = gauss_ratio_check(chi1, chi2, 2)
+                    assert abs(brute - closed) < 1e-9, (p, c1, c2)
 
     def test_odd_k_ceil_boundary_picks_up_quadratic_factor(self):
         # Pairs whose ratio conductor is exactly p^ceil(k/2) at odd k deviate
@@ -235,13 +236,12 @@ class TestGaussRatio:
                     l2 = postnikov_ell(chi2)
                     delta = (l2 - l1) // p**n % p
                     assert delta != 0
-                    rep = gauss_ratio_check(chi1, chi2, 2)
-                    row = rep.rows[0]
+                    brute, closed = gauss_ratio_check(chi1, chi2, 2)
                     corr = root_of_unity(
                         -mod_inverse(2 * l1, p) * delta * delta, p
                     )
-                    assert abs(row.brute - row.closed * corr) < 1e-9
-                    assert row.abs_err > 0.1  # the plain formula really misses
+                    assert abs(brute - closed * corr) < 1e-9
+                    assert abs(brute - closed) > 0.1  # the plain formula really misses
                     checked += 1
             assert checked > 0
 
@@ -268,16 +268,16 @@ class TestGaussRatio:
     def test_identity_pair(self):
         m = modulus(5, 4)
         chi = DirichletCharacter(m, 9)
-        rep = gauss_ratio_check(chi, chi, 2)
-        assert rep.max_abs_err < 1e-12  # ratio is exactly 1 vs chi-bar *chi at m
+        brute, closed = gauss_ratio_check(chi, chi, 2)
+        assert abs(brute - closed) < 1e-12  # ratio is exactly 1 vs chi-bar *chi at m
 
 
 class TestNearOne:
     def test_small_even_k(self):
         for p, k in ((3, 2), (3, 4), (5, 2), (5, 4)):
-            rep = near_one_root_number_check(modulus(p, k))
-            assert rep.max_rel_err < 1e-9
-            assert len(rep.rows) == (p - 1) * p ** (k // 2 - 1)
+            triples = near_one_root_number_check(modulus(p, k))
+            assert max(rel_err(b, c) for _, b, c in triples) < 1e-9
+            assert len(triples) == (p - 1) * p ** (k // 2 - 1)
 
     def test_rejects_odd_k(self):
         with pytest.raises(PreconditionViolated):
@@ -340,6 +340,21 @@ class TestCosetEpsilonAverage:
         spec3 = CosetSpec(DirichletCharacter(m3, 2), 2, "even")
         with pytest.raises(RegimeMismatch):
             coset_epsilon_average_closed(spec3, 1, "quadratic")
+
+    def test_rejects_every_regime_outside_eps_regimes(self):
+        rejected = 0
+        for p, k in ((3, 3), (3, 4), (5, 2), (5, 4), (5, 5), (7, 6)):
+            m = modulus(p, k)
+            for j in range(1, k):
+                spec = CosetSpec(DirichletCharacter(m, 2), j, "even")
+                for regime in ("linear", "quadratic"):
+                    if regime in eps_regimes(p, k, j):
+                        coset_epsilon_average_closed(spec, 1, regime)
+                        continue
+                    with pytest.raises(RegimeMismatch):
+                        coset_epsilon_average_closed(spec, 1, regime)
+                    rejected += 1
+        assert rejected > 0
 
     def test_rejects_unknown_regime(self):
         m = modulus(5, 4)

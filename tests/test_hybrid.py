@@ -6,6 +6,7 @@ import pytest
 
 from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
 from cosetlfun.errors import PreconditionViolated, QuadratureTooCoarse
+import cosetlfun.hybrid as hybrid_module
 from cosetlfun.hybrid import (
     MAX_SCAN_CELLS,
     MAX_SCAN_MODULUS,
@@ -37,8 +38,8 @@ class TestCharSumS:
         chi = DirichletCharacter(m, 1)
         for h in (-2, 0, 1, 3):
             for j in (0, 1, 2):
-                for n in (-4, 0, 1, 9, 13):
-                    got = char_sum_S(chi, h, j, n)
+                freqs = (-4, 0, 1, 9, 13)
+                for n, got in zip(freqs, char_sum_S(chi, h, j, freqs)):
                     want = brute_S(chi, h, j, n)
                     assert abs(got - want) < 1e-10, (h, j, n)
 
@@ -46,18 +47,18 @@ class TestCharSumS:
         # h = 0, n = 0: the sum counts units
         m = modulus(5, 2)
         chi = DirichletCharacter(m, 3)
-        assert char_sum_S(chi, 0, 1, 0) == pytest.approx(m.phi)
+        assert char_sum_S(chi, 0, 1, [0])[0] == pytest.approx(m.phi)
 
     def test_ramanujan_collapse(self):
         # h = 0, unit n, k >= 2: sum over units of e_q(alpha n) vanishes
         m = modulus(3, 3)
         chi = DirichletCharacter(m, 1)
-        for n in (1, 2, 5):
-            assert abs(char_sum_S(chi, 0, 1, n)) < 1e-10
+        for s in char_sum_S(chi, 0, 1, (1, 2, 5)):
+            assert abs(s) < 1e-10
         # k = 1 instead gives the -1 of the Moebius function
         m1 = modulus(7, 1)
         chi1 = DirichletCharacter(m1, 2)
-        assert char_sum_S(chi1, 0, 0, 3) == pytest.approx(-1.0, abs=1e-10)
+        assert char_sum_S(chi1, 0, 0, [3])[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_structural_zero_off_multiples_of_q0(self):
         # the weight depends on alpha only mod q/q0, so S = 0 unless q0 | n
@@ -65,39 +66,49 @@ class TestCharSumS:
         chi = DirichletCharacter(m, 1)
         for j in (1, 2):
             q0 = 3**j
-            for n in range(1, 30):
-                s = char_sum_S(chi, 2, j, n)
+            for n, s in enumerate(char_sum_S(chi, 2, j, range(1, 30)), 1):
                 if n % q0 != 0:
                     assert abs(s) < 1e-9, (j, n)
 
     def test_massive_cells_exist_on_multiples(self):
         m = modulus(3, 5)
         chi = DirichletCharacter(m, 1)
-        assert abs(char_sum_S(chi, 1, 1, 3)) > 1.0
+        assert abs(char_sum_S(chi, 1, 1, [3])[0]) > 1.0
 
     def test_periodicity_in_n(self):
         m = modulus(3, 4)
         chi = DirichletCharacter(m, 1)
         for n in (1, 5, 27):
-            a = char_sum_S(chi, 1, 2, n)
-            b = char_sum_S(chi, 1, 2, n + m.q)
+            a = char_sum_S(chi, 1, 2, [n])[0]
+            b = char_sum_S(chi, 1, 2, [n + m.q])[0]
             assert a == b  # n is reduced mod q before any float math
 
     def test_conjugate_character_reflects_frequency(self):
         m = modulus(5, 3)
         chi = DirichletCharacter(m, 7)
         for h, n in ((1, 5), (2, 10), (3, 0)):
-            lhs = char_sum_S(chi.conjugate(), h, 1, n)
-            rhs = complex(char_sum_S(chi, h, 1, -n)).conjugate()
+            lhs = char_sum_S(chi.conjugate(), h, 1, [n])[0]
+            rhs = complex(char_sum_S(chi, h, 1, [-n])[0]).conjugate()
             assert abs(lhs - rhs) < 1e-10
 
     def test_level_bounds(self):
         m = modulus(3, 3)
         chi = DirichletCharacter(m, 1)
         with pytest.raises(PreconditionViolated):
-            char_sum_S(chi, 1, 4, 1)
+            char_sum_S(chi, 1, 4, [1])
         with pytest.raises(PreconditionViolated):
-            char_sum_S(chi, 1, -1, 1)
+            char_sum_S(chi, 1, -1, [1])
+
+    def test_lemma9_scan_calls_once_per_shift(self, monkeypatch):
+        calls = []
+
+        def counting(chi, h, j, freqs):
+            calls.append(h)
+            return char_sum_S(chi, h, j, freqs)
+
+        monkeypatch.setattr(hybrid_module, "char_sum_S", counting)
+        lemma9_scan(modulus(3, 4), 1, 4, 3)
+        assert sorted(calls) == [-4, -3, -2, -1, 1, 2, 3, 4]
 
 
 class TestScanGrid:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cosetlfun.modular as modular_module
 from cosetlfun.errors import InvalidModulus, NotInvertible, NotOneUnit
 from cosetlfun.modular import (
     MAX_MODULUS,
@@ -236,6 +237,17 @@ class TestPrimePowerModulus:
 
     def test_max_modulus_constant(self):
         assert MAX_MODULUS == 2**31
+
+    def test_rejects_table_larger_than_memory(self, monkeypatch):
+        # 3^7 needs an 8 * 2187 = 17496-byte dlog table
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 17495)
+        with pytest.raises(InvalidModulus, match="17496 bytes"):
+            PrimePowerModulus(3, 7)
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 17496)
+        assert PrimePowerModulus(3, 7).q == 2187
+
+    def test_physical_memory_is_positive(self):
+        assert modular_module._physical_memory() > 0
 
 
 class TestPadicLog:

@@ -2,14 +2,7 @@ import json
 
 import pytest
 
-from cosetlfun.report import (
-    VerificationReport,
-    VerificationRow,
-    dumps_jsonl_row,
-    fmt_float,
-    render_rows,
-    verification_row,
-)
+from cosetlfun.report import dumps_jsonl_row, fmt_float, rel_err, render_rows
 
 
 class TestFmtFloat:
@@ -21,48 +14,20 @@ class TestFmtFloat:
         assert fmt_float(2.0) == "2"
 
 
-class TestVerificationRow:
-    def test_builder_errors(self):
-        row = verification_row("x", 1 + 1j, 1 + 1j)
-        assert row.abs_err == 0.0
-        assert row.rel_err == 0.0
+class TestRelErr:
+    def test_equal_values(self):
+        assert rel_err(1 + 1j, 1 + 1j) == 0.0
 
     def test_relative_error_scaling(self):
-        row = verification_row("x", 100.0 + 0j, 101.0 + 0j)
-        assert row.abs_err == pytest.approx(1.0)
-        assert row.rel_err == pytest.approx(1 / 101)
+        assert rel_err(100.0 + 0j, 101.0 + 0j) == pytest.approx(1 / 101)
+
+    def test_scale_is_larger_magnitude(self):
+        # the error is taken against max(|brute|, |closed|), either side
+        assert rel_err(2.0 + 0j, 2.5 + 0j) == pytest.approx(0.2)
+        assert rel_err(2.5 + 0j, 2.0 + 0j) == pytest.approx(0.2)
 
     def test_zero_scale(self):
-        row = verification_row("x", 0j, 0j)
-        assert row.rel_err == 0.0
-
-
-class TestVerificationReport:
-    def make(self):
-        return VerificationReport(
-            "demo",
-            [
-                verification_row("a", 1.0 + 0j, 1.0 + 0j),
-                verification_row("b", 2.0 + 0j, 2.5 + 0j),
-            ],
-        )
-
-    def test_maxima(self):
-        rep = self.make()
-        assert rep.max_abs_err == pytest.approx(0.5)
-        assert rep.max_rel_err == pytest.approx(0.2)
-
-    def test_within(self):
-        rep = self.make()
-        assert rep.within(rel=0.3)
-        assert not rep.within(rel=0.1)
-        assert rep.within(abs_=0.6)
-        assert not rep.within(rel=0.3, abs_=0.1)
-
-    def test_empty_report(self):
-        rep = VerificationReport("empty", [])
-        assert rep.max_abs_err == 0.0
-        assert rep.within(rel=0.0, abs_=0.0)
+        assert rel_err(0j, 0j) == 0.0
 
 
 class TestSerialization:
