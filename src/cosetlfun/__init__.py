@@ -79,7 +79,6 @@ from .moments import (
     RecipeParams,
     classify_regime,
     empirical_coset_moment,
-    error_scale,
     moment_report,
     predict_A,
     predict_A_prime,

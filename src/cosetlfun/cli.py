@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,7 @@ from .characters import (
     CosetSpec,
     DirichletCharacter,
     even_primitive_exponents,
+    postnikov_ell,
     primitive_exponents,
 )
 from .errors import ConfigError, CosetLFunError
@@ -149,10 +150,19 @@ def cmd_moment(args: argparse.Namespace, res: RunResult) -> None:
     for p, k in itertools.product(args.p, args.k):
         for j in args.j:
             m = modulus(p, k)
-            rows = [
-                moment_report(DirichletCharacter(m, c), j, args.retain_phase).to_dict()
-                for c in even_bases(m)
-            ]
+            # a coset's report depends on its base only through chi_exponent
+            # and ell, and enumerate_coset gives every base the same sorted
+            # members, so one report per coset c mod p^(k-j) yields each
+            # base's row bit for bit
+            by_coset = {}
+            rows = []
+            for c in even_bases(m):
+                chi = DirichletCharacter(m, c)
+                key = c % p ** (k - j)
+                if key not in by_coset:
+                    by_coset[key] = moment_report(chi, j, args.retain_phase)
+                row = replace(by_coset[key], chi_exponent=c, ell=postnikov_ell(chi))
+                rows.append(row.to_dict())
             improved = sum(
                 1 for r in rows if abs(r["residual"]) < abs(r["baseline_residual"])
             )

@@ -147,9 +147,11 @@ class PrimePowerModulus:
             raise InvalidModulus(f"exponent must be >= 1, got {k}")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise InvalidModulus(f"{p} is not an odd prime")
-        q = p**k
-        if q > MAX_MODULUS:
+        # p >= 3 puts p^k above the cap for every k >= 32, so a huge k is
+        # refused before p**k is formed
+        if k >= MAX_MODULUS.bit_length() or p**k > MAX_MODULUS:
             raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
+        q = p**k
         table_bytes = 8 * q
         if table_bytes > _physical_memory():
             raise InvalidModulus(

@@ -148,39 +148,35 @@ def predict_A_prime(
 
 @dataclass(frozen=True)
 class MomentPrediction:
-    """Main and secondary predicted terms for one coset."""
+    """Main term, secondary term and error scale for one coset."""
 
     D: float
-    A: float | None
-    A_prime: float | None
+    secondary: float
+    error_scale: float
     params: RecipeParams
-
-    @property
-    def secondary(self) -> float:
-        if self.A is not None:
-            return self.A
-        if self.A_prime is not None:
-            return self.A_prime
-        raise RegimeMismatch("no secondary term outside both windows")
 
 
 def predict_moment(
     chi: DirichletCharacter, j: int, retain_phase: bool = False
 ) -> MomentPrediction:
+    """The window picks the secondary term and the size of the theorem's
+    error term, reported for context next to residuals."""
     params = recipe_params(chi, j)
-    d_term = predict_D(chi.modulus, j)
-    a_term = None
-    a_prime_term = None
+    m = chi.modulus
+    q0 = params.q0
     if params.regime in ("thm11", "both"):
-        a_term = predict_A(chi, j, retain_phase)
-    # at k = 2j the first window's term already covers p = 3; in the second
-    # window alone predict_A_prime raises for it
-    if params.regime == "thm12" or (params.regime == "both" and chi.modulus.p >= 5):
-        a_prime_term = predict_A_prime(chi, j, retain_phase)
+        # at k = 2j both windows' terms agree; this one also covers p = 3
+        secondary = predict_A(chi, j, retain_phase)
+        scale = m.q ** (-0.125) * q0
+    elif params.regime == "thm12":
+        secondary = predict_A_prime(chi, j, retain_phase)
+        scale = q0 ** (-0.25) * math.sqrt(m.q)
+    else:
+        raise RegimeMismatch(f"(k, j) = ({m.k}, {j}) fits no window")
     return MomentPrediction(
-        D=d_term,
-        A=a_term,
-        A_prime=a_prime_term,
+        D=predict_D(m, j),
+        secondary=secondary,
+        error_scale=scale,
         params=params,
     )
 
@@ -230,25 +226,12 @@ class MomentReport:
         return asdict(self)
 
 
-def error_scale(m: PrimePowerModulus, j: int, regime: str) -> float:
-    """Size of the theorem's error term, for context next to residuals."""
-    q0 = m.p**j
-    if regime in ("thm11", "both"):
-        return m.q ** (-0.125) * q0
-    if regime == "thm12":
-        return q0 ** (-0.25) * math.sqrt(m.q)
-    raise RegimeMismatch(f"no error scale outside the windows, got {regime}")
-
-
 def moment_report(
     chi: DirichletCharacter, j: int, retain_phase: bool = False
 ) -> MomentReport:
     """Empirical vs predicted second moment for the coset of chi at level j."""
     pred = predict_moment(chi, j, retain_phase)
-    if pred.params.regime == "none":
-        raise RegimeMismatch(f"(k, j) = ({chi.modulus.k}, {j}) fits no window")
     emp = empirical_coset_moment(CosetSpec(chi, j, "even"))
-    secondary = pred.secondary
     return MomentReport(
         q=pred.params.q,
         q0=pred.params.q0,
@@ -259,8 +242,8 @@ def moment_report(
         regime=pred.params.regime,
         empirical=emp.value,
         D=pred.D,
-        A=secondary,
-        residual=emp.value - pred.D - secondary,
+        A=pred.secondary,
+        residual=emp.value - pred.D - pred.secondary,
         baseline_residual=emp.value - pred.D,
-        error_scale=error_scale(chi.modulus, j, pred.params.regime),
+        error_scale=pred.error_scale,
     )

@@ -5,7 +5,12 @@ import os
 
 import pytest
 
+import cosetlfun.cli as cli_module
+from cosetlfun.characters import DirichletCharacter, even_primitive_exponents
 from cosetlfun.cli import SUBCOMMANDS, build_parser, main
+from cosetlfun.modular import modulus
+from cosetlfun.moments import moment_report
+from cosetlfun.report import render_rows
 
 
 def run_cli(capsys, *argv):
@@ -302,6 +307,49 @@ class TestMomentCommand:
             capsys, "moment", "--p", "3", "--k", "5", "--j", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "p, k, j, flags",
+        [
+            (3, 5, 3, ()),  # thm11
+            (3, 4, 2, ()),  # both
+            (5, 4, 2, ()),  # both
+            (5, 3, 1, ()),  # thm12
+            (7, 3, 1, ()),  # thm12
+            (5, 4, 2, ("--retain-phase",)),
+        ],
+    )
+    def test_rows_match_per_character_reports(self, p, k, j, flags, capsys):
+        # the per-character path is the oracle for the per-coset rows
+        code, out, _ = run_cli(
+            capsys, "moment", "--p", str(p), "--k", str(k), "--j", str(j),
+            "--format", "jsonl", *flags,
+        )
+        assert code == 0
+        m = modulus(p, k)
+        want = [
+            moment_report(DirichletCharacter(m, c), j, bool(flags)).to_dict()
+            for c in even_primitive_exponents(m)
+        ]
+        assert out == render_rows(want, "jsonl")
+
+    def test_one_report_per_coset(self, monkeypatch, capsys):
+        bases = []
+
+        def counting(chi, j, retain_phase=False):
+            bases.append(chi.c)
+            return moment_report(chi, j, retain_phase)
+
+        monkeypatch.setattr(cli_module, "moment_report", counting)
+        code, out, _ = run_cli(
+            capsys, "moment", "--p", "3", "--k", "5", "--j", "3"
+        )
+        assert code == 0
+        evens = even_primitive_exponents(modulus(3, 5))
+        assert len(out.splitlines()) == 1 + len(evens)
+        cosets = {c % 9 for c in evens}  # the level-3 cosets mod 3^5
+        assert len(cosets) == 6
+        assert sorted(c % 9 for c in bases) == sorted(cosets)
 
 
 class TestDeterminism:

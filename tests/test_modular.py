@@ -190,6 +190,8 @@ class TestPrimePowerModulus:
             PrimePowerModulus(3, 90)  # beyond the 2^31 cap
         with pytest.raises(InvalidModulus):
             PrimePowerModulus(3, 20)  # 3.5e9: rejected before any table
+        with pytest.raises(InvalidModulus, match=r"q = 3\^1000000000000 exceeds"):
+            PrimePowerModulus(3, 10**12)  # rejected before 3**k is formed
 
     def test_generator_generates(self):
         for p, k in ((3, 1), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)):

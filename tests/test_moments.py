@@ -28,7 +28,6 @@ from cosetlfun.modular import (
 from cosetlfun.moments import (
     classify_regime,
     empirical_coset_moment,
-    error_scale,
     moment_report,
     predict_A,
     predict_A_prime,
@@ -305,21 +304,21 @@ class TestMomentReport:
             moment_report(chi, 1)  # (k, j) = (4, 1) fits no window
 
     def test_predict_moment_populates_windows(self):
-        m5 = modulus(5, 4)
-        pred = predict_moment(DirichletCharacter(m5, 2), 2)
-        assert pred.A is not None and pred.A_prime is not None
-        assert pred.secondary == pred.A
-        m3 = modulus(3, 4)
-        pred3 = predict_moment(DirichletCharacter(m3, 2), 2)
-        assert pred3.A is not None and pred3.A_prime is None  # p = 3 blocks it
+        # k = 2j takes the first window's term for p = 3 and p = 5 alike
+        for p in (3, 5):
+            chi = DirichletCharacter(modulus(p, 4), 2)
+            assert predict_moment(chi, 2).secondary == predict_A(chi, 2)
+        chi = DirichletCharacter(modulus(5, 3), 2)  # thm12
+        assert predict_moment(chi, 1).secondary == predict_A_prime(chi, 1)
 
     def test_error_scale_formulas(self):
-        m = modulus(3, 5)
-        assert error_scale(m, 3, "thm11") == pytest.approx(
+        chi = DirichletCharacter(modulus(3, 5), 2)
+        assert predict_moment(chi, 3).error_scale == pytest.approx(
             (3**5) ** -0.125 * 27, rel=1e-13
         )
-        assert error_scale(m, 2, "thm12") == pytest.approx(
-            9**-0.25 * math.sqrt(3**5), rel=1e-13
+        chi = DirichletCharacter(modulus(5, 5), 2)
+        assert predict_moment(chi, 2).error_scale == pytest.approx(
+            25**-0.25 * math.sqrt(5**5), rel=1e-13
         )
-        with pytest.raises(RegimeMismatch):
-            error_scale(m, 1, "none")
+        with pytest.raises(RegimeMismatch, match=r"\(k, j\) = \(4, 1\) fits no window"):
+            predict_moment(DirichletCharacter(modulus(3, 4), 2), 1)
