@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConductor,
-    InvalidModulus,
-    NotPrimitive,
-    PreconditionViolated,
-)
-from .modular import PrimePowerModulus, mod_inverse, padic_log, root_of_unity
+from .errors import InvalidModulus, NotPrimitive, PreconditionViolated
+from .modular import PrimePowerModulus, mod_inverse, root_of_unity
 
 
 def phi_prime_power(p: int, j: int) -> int:
@@ -100,18 +95,6 @@ class DirichletCharacter:
         return {"p": self.modulus.p, "k": self.modulus.k, "c": self.c}
 
 
-def _one_unit_logs(m: PrimePowerModulus) -> tuple[int, int]:
-    """(s, u) with ind(1+p) = s (p-1) and log(1+p) = p u: the index and the
-    p-adic logarithm of the 1-unit generator 1+p, which `postnikov_ell` and
-    `character_with_ell` convert between."""
-    p = m.p
-    if m.k < 2:
-        raise DegenerateConductor("logarithm parameter needs k >= 2")
-    t1 = m.index_of(1 + p)
-    assert t1 % (p - 1) == 0, "1+p lies in the index-(p-1) subgroup"
-    return t1 // (p - 1), padic_log(1 + p, m)
-
-
 def postnikov_ell(chi: DirichletCharacter) -> int:
     """Logarithm parameter ell in Z/p^(k-1) with chi(1+px) = e_q(ell*log(1+px)).
 
@@ -121,7 +104,7 @@ def postnikov_ell(chi: DirichletCharacter) -> int:
     on the cyclic 1-unit group, so agreement on 1+p is agreement everywhere.
     """
     m = chi.modulus
-    s, u = _one_unit_logs(m)
+    s, u = m.one_unit_logs
     pk1 = m.p ** (m.k - 1)
     return chi.c * s % pk1 * mod_inverse(u, pk1) % pk1
 
@@ -134,7 +117,7 @@ def character_with_ell(
     The exponent is fixed mod p^(k-1) by ell; an optional parity pick uses the
     remaining freedom c -> c + p^(k-1).
     """
-    s, u = _one_unit_logs(m)
+    s, u = m.one_unit_logs
     pk1 = m.p ** (m.k - 1)
     c = ell % pk1 * u % pk1 * mod_inverse(s, pk1) % pk1
     if even is not None and c % 2 != (0 if even else 1):

@@ -84,8 +84,6 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     """|S| mass over 1 <= |h| <= A', 1 <= |n| <= B' against the envelope
     sqrt(q) (A'B'/sqrt(q0) + (q q0 A')^(1/4)), for doubling (A', B') up to
     the shift cap A and frequency cap B; plus the n = 0 line against q0 * A'."""
-    if not 0 <= j <= m.k:
-        raise PreconditionViolated(f"level j = {j} outside [0, {m.k}]")
     if A < 1 or B < 1:
         raise PreconditionViolated("shift and frequency caps must be >= 1")
     if m.q > MAX_SCAN_MODULUS or A * B > MAX_SCAN_CELLS:
@@ -151,8 +149,6 @@ def hybrid_moment_quadrature(
     (T0 + T0^(-1/2) T^(1/2)) (q0 + q0^(-1/2) q^(1/2)).
     """
     m = chi.modulus
-    if not 0 <= j <= m.k:
-        raise PreconditionViolated(f"level j = {j} outside [0, {m.k}]")
     if not T0 > 0:
         raise PreconditionViolated("window length T0 must be positive")
     if not t_step > 0:
@@ -161,9 +157,9 @@ def hybrid_moment_quadrature(
         raise QuadratureTooCoarse(f"step {t_step} exceeds T0/8 = {T0 / 8}")
     if not chi.is_primitive:
         raise PreconditionViolated("hybrid window needs a primitive base")
+    members = enumerate_coset(CosetSpec(chi, j, "all"))
     if T0 > T:
         raise PreconditionViolated("window needs T0 <= T")
-    members = enumerate_coset(CosetSpec(chi, j, "all"))
     num = math.ceil(T0 / t_step - 1e-12)  # >= 8, as t_step <= T0/8
     # the even-index points are exactly np.linspace(T, T + T0, num + 1)
     ts = np.linspace(T, T + T0, 2 * num + 1)

@@ -21,7 +21,7 @@ import numpy as np
 from .characters import DirichletCharacter
 from .errors import PoleAtOne, PreconditionViolated, PrincipalCharacter
 
-_EM_TAIL_TARGET = 1e-13
+_EM_TAIL_TARGET = 2**-52  # one ulp of 1
 _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
 
 
@@ -82,7 +82,11 @@ def _em_coefficients() -> tuple:
 
 
 def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Euler-Maclaurin Hurwitz zeta on an array of x > 0, with tail bound."""
+    """Euler-Maclaurin Hurwitz zeta on an array of x > 0, with tail bound.
+
+    The shift n is the least one whose tail bound at min(x) meets
+    `_EM_TAIL_TARGET`; the returned bound is the one at that shift.
+    """
     s = complex(s)
     if s == 1:
         raise PoleAtOne("Hurwitz zeta has its pole at s = 1")
@@ -90,24 +94,14 @@ def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
     if sigma <= 0:
         raise PreconditionViolated("need Re(s) > 0")
     coefs, tail_coef = _em_coefficients()
-    j_top = _EM_BERNOULLI_TERMS
-    n_shift = math.ceil(10 + 2 * abs(s))
+    # |R_J| <= |B_{2J+2}/(2J+2)!| |(s)_{2J+2}| w^(-e)/e, e = sigma + 2J + 1,
+    # solved for the least w that meets the target
+    top = 2 * _EM_BERNOULLI_TERMS + 2
+    e = sigma + top - 1
+    c = tail_coef * math.prod(abs(s + i) for i in range(top)) / e
     x_min = float(x.min())
-    for _ in range(40):
-        w_min = n_shift + x_min
-        # |R_J| <= |B_{2J+2}/(2J+2)!| |(s)_{2J+2}| w^(-sigma-2J-1)/(sigma+2J+1)
-        rising = 1.0
-        for i in range(2 * j_top + 2):
-            rising *= abs(s + i)
-        bound = (
-            tail_coef
-            * rising
-            * w_min ** (-sigma - 2 * j_top - 1)
-            / (sigma + 2 * j_top + 1)
-        )
-        if bound < _EM_TAIL_TARGET:
-            break
-        n_shift *= 2
+    n_shift = max(0, math.ceil((c / _EM_TAIL_TARGET) ** (1 / e) - x_min))
+    bound = c * (n_shift + x_min) ** -e
     acc = np.zeros(x.shape, dtype=np.complex128)
     for n in range(n_shift):
         acc += (n + x) ** (-s)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidModulus, NotInvertible, NotOneUnit
+from .errors import DegenerateConductor, InvalidModulus, NotInvertible, NotOneUnit
 
 # below it phi^2 < 2^62, so the int64 angle products c * dlog and n * t of
 # character tables and Gauss sums are exact
@@ -220,6 +220,18 @@ class PrimePowerModulus:
     def q_roots(self) -> np.ndarray:
         """Table of e(j/q) for j in [0, q)."""
         return np.exp(2j * np.pi * np.arange(self.q) / self.q)
+
+    @cached_property
+    def one_unit_logs(self) -> tuple[int, int]:
+        """(s, u) with ind(1+p) = s (p-1) and log(1+p) = p u: the index and the
+        p-adic logarithm of the 1-unit generator 1+p, which `postnikov_ell` and
+        `character_with_ell` convert between."""
+        p = self.p
+        if self.k < 2:
+            raise DegenerateConductor("logarithm parameter needs k >= 2")
+        t1 = self.index_of(1 + p)
+        assert t1 % (p - 1) == 0, "1+p lies in the index-(p-1) subgroup"
+        return t1 // (p - 1), padic_log(1 + p, self)
 
     def index_of(self, t: int) -> int:
         """Discrete log of the unit t to the fixed generator."""

@@ -11,8 +11,7 @@ quadrature of the underlying integrals.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +25,16 @@ class FiniteSequence:
 
     support_start: int
     coefficients: tuple[complex, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) < 1:
             raise PreconditionViolated("sequence needs at least one coefficient")
-        for z in self.coefficients:
-            z = complex(z)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise PreconditionViolated("coefficients must be finite")
+        arr = np.asarray(self.coefficients, dtype=np.complex128)
+        if not np.isfinite(arr).all():
+            raise PreconditionViolated("coefficients must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "_array", arr)
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -44,7 +45,7 @@ class FiniteSequence:
         return self.support_start + len(self.coefficients) - 1
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=np.complex128)
+        return self._array
 
 
 def random_sequence(

@@ -13,6 +13,7 @@ from cosetlfun.errors import (
     PrincipalCharacter,
 )
 from cosetlfun.lcentral import (
+    _zeta_grid,
     bernoulli_even,
     completed_l_value,
     digamma,
@@ -99,6 +100,14 @@ class TestHurwitzZeta:
             lhs = sum(hurwitz_zeta(s, x + r / m_fold) for r in range(m_fold))
             rhs = m_fold**s * hurwitz_zeta(s, m_fold * x)
             assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("q", [81, 3125])
+    @pytest.mark.parametrize("t", [0.0, 6.0, 10.0, 20.0, 100.0])
+    def test_grid_shift_is_least_meeting_target(self, q, t):
+        # the least shift that meets the one-ulp target leaves the tail bound
+        # within a few powers of two below it
+        _, tail, _ = _zeta_grid(q, t)
+        assert 2**-64 < tail <= 2**-52
 
     def test_pole_and_domain(self):
         with pytest.raises(PoleAtOne):

@@ -26,7 +26,16 @@ def mp_l_value(mpmath, chi: DirichletCharacter, t: float = 0.0):
 
 
 @pytest.mark.parametrize(
-    "p, k, c, t", [(3, 4, 7, 0.0), (5, 2, 3, 0.0), (7, 2, 11, 0.0), (3, 3, 1, 6.0)]
+    "p, k, c, t",
+    [
+        (3, 4, 7, 0.0),
+        (5, 2, 3, 0.0),
+        (7, 2, 11, 0.0),
+        (3, 3, 1, 6.0),
+        (3, 4, 7, 10.0),
+        (5, 3, 3, 11.0),
+        (7, 2, 11, 20.0),
+    ],
 )
 def test_l_value_within_reported_bound(p, k, c, t):
     mpmath = pytest.importorskip("mpmath")
