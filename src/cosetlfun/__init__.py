@@ -57,6 +57,7 @@ from .gauss import (
     gauss_ratio_check,
     gauss_sum_brute,
     gauss_sum_odoni,
+    gauss_sums,
     near_one_root_number_check,
     quadratic_gauss_closed,
     root_number,

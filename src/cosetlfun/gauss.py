@@ -1,4 +1,5 @@
-"""Gauss sums mod p^k: brute force, closed forms, and coset averages.
+"""Gauss sums mod p^k: brute force, one FFT for every character, closed
+forms, and coset averages.
 
 The closed forms collapse the full phi(q)-term sum to a single explicitly
 indexed summand once k >= 2, with the logarithm parameter steering which
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .characters import (
     CosetSpec,
@@ -58,6 +61,18 @@ def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
     ang_chi = chi.c * m.unit_dlogs % m.phi
     ang_e = n * m.units % m.q
     return complex((m.phi_roots[ang_chi] * m.q_roots[ang_e]).sum())
+
+
+def gauss_sums(m: PrimePowerModulus, n: int = 1) -> np.ndarray:
+    """tau(chi_c, n) for every exponent c in [0, phi), indexed by c.
+
+    With the units in generator order t = g^i, chi_c(g^i) = e(ci/phi), so
+    tau(chi_c, n) = sum_i e(ci/phi) e_q(n g^i) is one length-phi inverse DFT
+    (numpy's ifft divides by phi, hence the factor).  Each input term is an
+    exactly reduced table root of unity, as in `gauss_sum_brute`; the only
+    new rounding is the FFT's.
+    """
+    return np.fft.ifft(m.q_roots[n % m.q * m.powers % m.q]) * m.phi
 
 
 def quadratic_gauss_closed(a: int, b: int, q: int) -> complex:

@@ -212,6 +212,14 @@ class PrimePowerModulus:
         return d
 
     @cached_property
+    def powers(self) -> np.ndarray:
+        """g^i mod q for i in [0, phi): the units in generator order."""
+        pw = np.empty(self.phi, dtype=np.int64)
+        pw[self.unit_dlogs] = self.units
+        pw.setflags(write=False)
+        return pw
+
+    @cached_property
     def phi_roots(self) -> np.ndarray:
         """Table of e(j/phi) for j in [0, phi)."""
         return np.exp(2j * np.pi * np.arange(self.phi) / self.phi)

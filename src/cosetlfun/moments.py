@@ -108,7 +108,12 @@ def predict_A(
     params = recipe_params(chi, j)
     if params.regime not in ("thm11", "both"):
         raise RegimeMismatch(f"window {params.regime} does not give this term")
-    m = chi.modulus
+    return _secondary_A(chi.modulus, j, params, retain_phase)
+
+
+def _secondary_A(
+    m: PrimePowerModulus, j: int, params: RecipeParams, retain_phase: bool
+) -> float:
     a = params.a_chi
     abs_a = abs(a)
     lead = phi_prime_power(m.p, j) * math.sqrt(m.q) / params.q0
@@ -130,7 +135,12 @@ def predict_A_prime(
     params = recipe_params(chi, j)
     if params.regime not in ("thm12", "both"):
         raise RegimeMismatch(f"window {params.regime} does not give this term")
-    m = chi.modulus
+    return _secondary_A_prime(chi.modulus, j, params, retain_phase)
+
+
+def _secondary_A_prime(
+    m: PrimePowerModulus, j: int, params: RecipeParams, retain_phase: bool
+) -> float:
     if m.p < 5:
         raise RegimeMismatch(f"the window 2j <= k <= 3j needs p >= 5, got p = {m.p}")
     a, b = params.a_chi, params.b_chi
@@ -166,10 +176,10 @@ def predict_moment(
     q0 = params.q0
     if params.regime in ("thm11", "both"):
         # at k = 2j both windows' terms agree; this one also covers p = 3
-        secondary = predict_A(chi, j, retain_phase)
+        secondary = _secondary_A(m, j, params, retain_phase)
         scale = m.q ** (-0.125) * q0
     elif params.regime == "thm12":
-        secondary = predict_A_prime(chi, j, retain_phase)
+        secondary = _secondary_A_prime(m, j, params, retain_phase)
         scale = q0 ** (-0.25) * math.sqrt(m.q)
     else:
         raise RegimeMismatch(f"(k, j) = ({m.k}, {j}) fits no window")

@@ -75,9 +75,13 @@ def _symmetric_shift_sum(a: FiniteSequence, weights: list) -> float:
 
     C(-h) = conj(C(h)), so the h and -h terms sum to 2*Re(weight * C(h)).
     """
-    total = weights[0] * shifted_autocorrelation(a, 0).real
-    for h in range(1, len(weights)):
-        total += 2.0 * weights[h] * shifted_autocorrelation(a, h).real
+    arr = a.as_array()
+    # C(h) for h = 0 .. n-1; np.correlate conjugates its second argument
+    corr = np.correlate(arr, arr, "full")[arr.size - 1 :]
+    total = weights[0] * corr[0].real
+    # C(h) = 0 for h >= n, and adding those zeros leaves total unchanged
+    for h in range(1, min(len(weights), arr.size)):
+        total += 2.0 * weights[h] * corr[h].real
     return total
 
 
@@ -123,10 +127,10 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
 
 def twisted_sum(a: FiniteSequence, chi: DirichletCharacter) -> complex:
     """sum_n a_n chi(n) over the support."""
-    q = chi.modulus.q
-    table = chi.value_table()
-    idx = np.arange(a.support_start, a.support_end + 1) % q
-    return complex(np.sum(a.as_array() * table[idx]))
+    m = chi.modulus
+    d = m.dlog[np.arange(a.support_start, a.support_end + 1) % m.q]
+    vals = np.where(d >= 0, m.phi_roots[chi.c * d % m.phi], 0)
+    return complex(np.sum(a.as_array() * vals))
 
 
 def coset_shift_identity(

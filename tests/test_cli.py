@@ -190,6 +190,15 @@ class TestHappyPaths:
             row = json.loads(line)
             assert row["q"] == 25
 
+    def test_gauss_verify_fft_within_tight_tolerance(self, capsys):
+        # the FFT values sit within 1.5e-15 relative of the closed forms; an
+        # indexing or conjugation slip in the transform would give about 1
+        code, out, err = run_cli(
+            capsys, "gauss-verify", "--p", "5", "--k", "4", "--tolerance", "1e-13"
+        )
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 1 + 400  # header + primitive chi
+
     def test_tolerance_breach_fails_run(self, capsys):
         code, _, err = run_cli(
             capsys, "gauss-verify", "--p", "5", "--k", "2", "--tolerance", "1e-30"

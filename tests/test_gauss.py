@@ -28,6 +28,7 @@ from cosetlfun.gauss import (
     gauss_ratio_check,
     gauss_sum_brute,
     gauss_sum_odoni,
+    gauss_sums,
     near_one_root_number_check,
     quadratic_gauss_closed,
     root_number,
@@ -84,6 +85,22 @@ class TestGaussSumBrute:
         got = gauss_sum_brute(chi, 5)
         want = brute_unit_sum(chi, 5)
         assert abs(got - want) < 1e-12
+
+
+class TestGaussSumsFFT:
+    @pytest.mark.parametrize(
+        "p,k", [(3, 1), (3, 2), (3, 5), (5, 3), (7, 2), (11, 2), (5, 6)]
+    )
+    def test_every_character_matches_brute(self, p, k):
+        m = modulus(p, k)
+        # phi^2 brute terms per twist, so the largest modulus takes one
+        # (reduced) unit twist and the others every kind of twist
+        twists = (m.q + 3,) if m.q > 10**4 else (0, 1, 2, p, -1, m.q + 3)
+        for n in twists:
+            taus = gauss_sums(m, n)
+            assert taus.shape == (m.phi,)
+            want = [gauss_sum_brute(DirichletCharacter(m, c), n) for c in range(m.phi)]
+            assert np.abs(taus - want).max() <= 1e-12 * math.sqrt(m.q), n
 
 
 class TestQuadraticGaussClosed:

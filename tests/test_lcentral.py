@@ -1,5 +1,7 @@
 import cmath
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cosetlfun.errors import (
     PreconditionViolated,
     PrincipalCharacter,
 )
+from cosetlfun.hybrid import hybrid_moment_quadrature
 from cosetlfun.lcentral import (
     _zeta_grid,
     bernoulli_even,
@@ -24,6 +27,22 @@ from cosetlfun.lcentral import (
     l_value,
 )
 from cosetlfun.modular import modulus
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def bernoulli_via_zeta(j: int) -> float:
@@ -170,6 +189,16 @@ class TestLValue:
             l_value(DirichletCharacter(modulus(3, 2), 0))
         with pytest.raises(PrincipalCharacter):
             l_series_oracle(DirichletCharacter(modulus(3, 2), 0))
+
+    def test_unreachable_shift_refused(self):
+        # the Euler-Maclaurin shift grows like |t|/2: 5.7e6 terms at t = 1e7,
+        # inf at t = 1e12; both are refused before any term is summed
+        chi = DirichletCharacter(modulus(3, 2), 1)
+        with time_limit(5.0):
+            with pytest.raises(PreconditionViolated, match="Euler-Maclaurin shift"):
+                l_value(chi, 1e12)
+            with pytest.raises(PreconditionViolated, match="Euler-Maclaurin shift"):
+                hybrid_moment_quadrature(chi, 1, T=1e7)
 
     def test_conjugate_symmetry(self):
         # L(1/2, chibar) = conj L(1/2, chi) at t = 0

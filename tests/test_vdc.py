@@ -122,6 +122,46 @@ class TestInequality:
             vdc_inequality_check(FiniteSequence(2, (1.0,)), 3)
 
 
+def per_shift_sum(a: FiniteSequence, weights: list) -> float:
+    """sum_{|h| < H} weights[|h|] C(h), one shifted_autocorrelation per shift."""
+    total = weights[0] * shifted_autocorrelation(a, 0).real
+    for h in range(1, len(weights)):
+        total += 2.0 * weights[h] * shifted_autocorrelation(a, h).real
+    return total
+
+
+@st.composite
+def sequence_and_shift(draw):
+    n = draw(st.integers(1, 200))
+    parts = st.floats(-5, 5)
+    coeffs = draw(st.lists(st.builds(complex, parts, parts), min_size=n, max_size=n))
+    return FiniteSequence(1, tuple(coeffs)), draw(st.integers(1, n))
+
+
+class TestOneCorrelationPerSequence:
+    # every C(h) comes from one np.correlate; the per-shift dot products are
+    # the reference, within the rounding of two length-N dot products
+    @staticmethod
+    def tolerance(a: FiniteSequence, weights: list) -> float:
+        norm = float(np.sum(np.abs(a.as_array()) ** 2))
+        return 4 * len(a) * 2**-52 * 2 * sum(abs(w) for w in weights) * norm
+
+    @given(sequence_and_shift())
+    def test_inequality_rhs(self, case):
+        a, H = case
+        weights = [1.0 - h / H for h in range(H)]
+        _, rhs = vdc_inequality_check(a, H)
+        want = (1.0 + len(a) / H) * per_shift_sum(a, weights)
+        assert abs(rhs - want) <= (1.0 + len(a) / H) * self.tolerance(a, weights)
+
+    @given(sequence_and_shift())
+    def test_amplified_rhs(self, case):
+        a, H = case
+        weights = [float(H - h) for h in range(H)]
+        _, rhs = amplified_l2_identity(a, H)
+        assert abs(rhs - per_shift_sum(a, weights)) <= self.tolerance(a, weights)
+
+
 class TestDirichletKernel:
     def test_at_zero(self):
         assert dirichlet_kernel(7, 0.0) == pytest.approx(7.0)
