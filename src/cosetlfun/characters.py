@@ -87,8 +87,7 @@ class DirichletCharacter:
         """chi(n) for n = 0..q-1 as a complex array, zero off the units."""
         m = self.modulus
         out = np.zeros(m.q, dtype=np.complex128)
-        angles = self.c * m.unit_dlogs % m.phi
-        out[m.units] = m.phi_roots[angles]
+        out[m.powers] = m.phi_roots[self.c * np.arange(m.phi) % m.phi]
         return out
 
     def to_dict(self) -> dict:

@@ -51,15 +51,15 @@ class GaussSumResult:
 
 
 def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
-    """Direct sum of chi(t) e_q(n t) over units t mod q.
+    """Direct sum of chi(t) e_q(n t) over units t mod q, taken in generator
+    order t = g^i as sum_i e(ci/phi) e_q(n g^i).
 
     Angles are reduced exactly in integers before the table lookup, so every
     term is a correctly rounded root of unity.
     """
     m = chi.modulus
-    n %= m.q
-    ang_chi = chi.c * m.unit_dlogs % m.phi
-    ang_e = n * m.units % m.q
+    ang_chi = chi.c * np.arange(m.phi) % m.phi
+    ang_e = n % m.q * m.powers % m.q
     return complex((m.phi_roots[ang_chi] * m.q_roots[ang_e]).sum())
 
 
@@ -159,7 +159,8 @@ def near_one_root_number_check(
     m: PrimePowerModulus,
 ) -> list[tuple[DirichletCharacter, complex, complex]]:
     """Gauss sums on the coset pinned by ell = -1 mod p^n, k = 2n, as one
-    (member, brute, closed) triple per member.
+    (member, computed, closed) triple per member; every computed tau is read
+    from one `gauss_sums` transform.
 
     Every member has tau = p^n e_q(1): the collapsed summand sits at t0 = 1
     and the character factor drops out.
@@ -169,8 +170,9 @@ def near_one_root_number_check(
     n_half = m.k // 2
     base = character_with_ell(m, m.p ** (m.k - 1) - 1)
     expected = m.p**n_half * root_of_unity(1, m.q)
+    taus = gauss_sums(m)
     return [
-        (psi, gauss_sum_brute(psi), expected)
+        (psi, complex(taus[psi.c]), expected)
         for psi in enumerate_coset(CosetSpec(base, n_half, "all"))
     ]
 

@@ -87,6 +87,28 @@ def _em_coefficients() -> tuple:
     return coefs, abs(float(fr[top] / math.factorial(top)))
 
 
+def em_shift(s: complex, x_min: float, cost_per_term: int) -> tuple[int, float]:
+    """The least Euler-Maclaurin shift n whose tail bound at x_min meets
+    `_EM_TAIL_TARGET`, with the bound at n.  One shift term costs
+    `cost_per_term` point-terms (grid points plus 64 per grid); a shift whose
+    cost exceeds `_EM_MAX_SHIFT_WORK` is refused before anything is summed.
+    """
+    _, tail_coef = _em_coefficients()
+    # |R_J| <= |B_{2J+2}/(2J+2)!| |(s)_{2J+2}| w^(-e)/e, e = sigma + 2J + 1,
+    # solved for the least w that meets the target
+    top = 2 * _EM_BERNOULLI_TERMS + 2
+    e = s.real + top - 1
+    c = tail_coef * math.prod(abs(s + i) for i in range(top)) / e
+    shift = (c / _EM_TAIL_TARGET) ** (1 / e) - x_min  # inf once c overflows
+    if not shift * cost_per_term <= _EM_MAX_SHIFT_WORK:
+        raise PreconditionViolated(
+            f"Euler-Maclaurin shift of {shift:.3g} terms at |s| = {abs(s):.3g}, "
+            f"{cost_per_term} point-terms each, exceeds the cap of {_EM_MAX_SHIFT_WORK}"
+        )
+    n_shift = max(0, math.ceil(shift))
+    return n_shift, c * (n_shift + x_min) ** -e
+
+
 def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Euler-Maclaurin Hurwitz zeta on an array of x > 0, with tail bound.
 
@@ -96,24 +118,10 @@ def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
     s = complex(s)
     if s == 1:
         raise PoleAtOne("Hurwitz zeta has its pole at s = 1")
-    sigma = s.real
-    if sigma <= 0:
+    if s.real <= 0:
         raise PreconditionViolated("need Re(s) > 0")
-    coefs, tail_coef = _em_coefficients()
-    # |R_J| <= |B_{2J+2}/(2J+2)!| |(s)_{2J+2}| w^(-e)/e, e = sigma + 2J + 1,
-    # solved for the least w that meets the target
-    top = 2 * _EM_BERNOULLI_TERMS + 2
-    e = sigma + top - 1
-    c = tail_coef * math.prod(abs(s + i) for i in range(top)) / e
-    x_min = float(x.min())
-    shift = (c / _EM_TAIL_TARGET) ** (1 / e) - x_min  # inf once c overflows
-    if not shift * (x.size + 64) <= _EM_MAX_SHIFT_WORK:
-        raise PreconditionViolated(
-            f"Euler-Maclaurin shift of {shift:.3g} terms on {x.size} points at "
-            f"|s| = {abs(s):.3g} exceeds the cap of {_EM_MAX_SHIFT_WORK} point-terms"
-        )
-    n_shift = max(0, math.ceil(shift))
-    bound = c * (n_shift + x_min) ** -e
+    coefs, _ = _em_coefficients()
+    n_shift, bound = em_shift(s, float(x.min()), x.size + 64)
     acc = np.zeros(x.shape, dtype=np.complex128)
     for n in range(n_shift):
         acc += (n + x) ** (-s)

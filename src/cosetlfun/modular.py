@@ -1,9 +1,10 @@
 """Modular arithmetic mod odd prime powers.
 
 Everything downstream works inside the unit group of Z/p^k, which is cyclic
-for odd p.  The modulus object fixes a generator once and stores the full
-discrete-log table, so character evaluation and exponential sums reduce to
-table lookups with exact integer angle arithmetic.
+for odd p.  The modulus object fixes a generator g once and lists the units
+in generator order, g^i for i < phi, with the discrete log as its inverse
+table, so character evaluation and exponential sums reduce to table lookups
+with exact integer angle arithmetic.
 """
 
 from __future__ import annotations
@@ -134,12 +135,27 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-class PrimePowerModulus:
-    """An odd prime power q = p^k with a fixed generator of (Z/q)*.
+def _geometric_powers(g: int, n: int, q: int) -> np.ndarray:
+    """g^i mod q for i in [0, n), by doubling: the block [s, 2s) is the
+    block [0, s) times g^s, so log2(n) int64 products, exact for q < 2^31."""
+    out = np.ones(n, dtype=np.int64)
+    size = 1
+    while size < n:
+        block = out[size : 2 * size]
+        np.multiply(out[: block.size], pow(g, size, q), out=block)
+        np.remainder(block, q, out=block)
+        size *= 2
+    out.setflags(write=False)
+    return out
 
-    The discrete-log table is built eagerly: O(q) memory, intended for the
-    desk-scale grids q <= 10^6 the verification suites run on, and refused
-    before allocation when it exceeds the physical memory.
+
+class PrimePowerModulus:
+    """An odd prime power q = p^k with a fixed generator g of (Z/q)*.
+
+    `powers` (g^i mod q, i < phi) and its inverse `dlog` (the index of each
+    residue, -1 off the units) are built eagerly: O(q) memory, refused before
+    allocation when they and the two root tables would exceed the physical
+    memory.
     """
 
     def __init__(self, p: int, k: int):
@@ -152,18 +168,24 @@ class PrimePowerModulus:
         if k >= MAX_MODULUS.bit_length() or p**k > MAX_MODULUS:
             raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
         q = p**k
-        table_bytes = 8 * q
+        phi = p ** (k - 1) * (p - 1)
+        # dlog 8q and powers 8 phi (int64), q_roots 16q and phi_roots 16 phi
+        table_bytes = 24 * (q + phi)
         if table_bytes > _physical_memory():
             raise InvalidModulus(
-                f"the dlog table mod {p}^{k} needs {table_bytes} bytes, "
+                f"the unit tables mod {p}^{k} need {table_bytes} bytes, "
                 "more than the physical memory"
             )
         self.p = p
         self.k = k
         self.q = q
-        self.phi = p ** (k - 1) * (p - 1)
+        self.phi = phi
         self.generator = self._least_generator()
-        self.dlog = self._build_dlog()
+        self.powers = _geometric_powers(self.generator, phi, q)
+        dlog = np.full(q, -1, dtype=np.int64)
+        dlog[self.powers] = np.arange(phi)
+        dlog.setflags(write=False)
+        self.dlog = dlog
 
     def _least_generator(self) -> int:
         # A generator mod p^2 generates mod every p^k (p odd), so testing
@@ -177,15 +199,6 @@ class PrimePowerModulus:
                 return g
             g += 1
 
-    def _build_dlog(self) -> np.ndarray:
-        table = np.full(self.q, -1, dtype=np.int64)
-        t = 1
-        for i in range(self.phi):
-            table[t] = i
-            t = t * self.generator % self.q
-        table.setflags(write=False)
-        return table
-
     def __repr__(self) -> str:
         return f"PrimePowerModulus({self.p}, {self.k})"
 
@@ -197,27 +210,6 @@ class PrimePowerModulus:
 
     def __hash__(self) -> int:
         return hash((self.p, self.k))
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """All units mod q, ascending."""
-        u = np.nonzero(self.dlog >= 0)[0].astype(np.int64)
-        u.setflags(write=False)
-        return u
-
-    @cached_property
-    def unit_dlogs(self) -> np.ndarray:
-        d = self.dlog[self.units]
-        d.setflags(write=False)
-        return d
-
-    @cached_property
-    def powers(self) -> np.ndarray:
-        """g^i mod q for i in [0, phi): the units in generator order."""
-        pw = np.empty(self.phi, dtype=np.int64)
-        pw[self.unit_dlogs] = self.units
-        pw.setflags(write=False)
-        return pw
 
     @cached_property
     def phi_roots(self) -> np.ndarray:

@@ -10,7 +10,7 @@ agree bit-for-bit in doubles here).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .characters import (
     CosetSpec,
@@ -233,7 +233,8 @@ class MomentReport:
     error_scale: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so the shallow copy is the whole row
+        return dict(vars(self))
 
 
 def moment_report(

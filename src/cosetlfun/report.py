@@ -44,14 +44,15 @@ def dumps_jsonl_row(d: dict) -> str:
     return "{" + body + "}"
 
 
-def _flatten_csv(d: dict) -> dict:
-    flat = {}
-    for k, v in d.items():
+def _csv_cells(d: dict) -> list:
+    """A row's cells in column order; a [re, im] pair fills two."""
+    cells = []
+    for v in d.values():
         if isinstance(v, (list, tuple)):
-            flat[f"{k}_re"], flat[f"{k}_im"] = v
+            cells += map(fmt_float, v)
         else:
-            flat[k] = v
-    return flat
+            cells.append(fmt_float(v) if isinstance(v, float) else v)
+    return cells
 
 
 def render_rows(dicts: list[dict], fmt: str) -> str:
@@ -62,15 +63,13 @@ def render_rows(dicts: list[dict], fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}")
     if not dicts:
         return ""
-    flat = [_flatten_csv(d) for d in dicts]
+    header = [
+        k + part
+        for k, v in dicts[0].items()
+        for part in (("_re", "_im") if isinstance(v, (list, tuple)) else ("",))
+    ]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(flat[0]), lineterminator="\n")
-    writer.writeheader()
-    for row in flat:
-        writer.writerow(
-            {
-                k: fmt_float(v) if isinstance(v, float) else v
-                for k, v in row.items()
-            }
-        )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_csv_cells, dicts))
     return buf.getvalue()

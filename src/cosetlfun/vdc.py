@@ -69,13 +69,12 @@ def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
     return complex(np.vdot(arr[-h:], arr[: n + h]))
 
 
-def _symmetric_shift_sum(a: FiniteSequence, weights: list) -> float:
-    """sum_{|h| < H} weights[|h|] * C(h) with H = len(weights), folded
-    pairwise so it is exactly real.
+def _symmetric_shift_sum(arr: np.ndarray, weights: list) -> float:
+    """sum_{|h| < H} weights[|h|] * C(h) of the sequence arr, with
+    H = len(weights), folded pairwise so it is exactly real.
 
     C(-h) = conj(C(h)), so the h and -h terms sum to 2*Re(weight * C(h)).
     """
-    arr = a.as_array()
     # C(h) for h = 0 .. n-1; np.correlate conjugates its second argument
     corr = np.correlate(arr, arr, "full")[arr.size - 1 :]
     total = weights[0] * corr[0].real
@@ -98,7 +97,7 @@ def vdc_inequality_check(a: FiniteSequence, H: int) -> tuple[float, float]:
     N = len(a)
     arr = a.as_array()
     lhs = abs(arr.sum()) ** 2
-    rhs = (1.0 + N / H) * _symmetric_shift_sum(a, [1.0 - h / H for h in range(H)])
+    rhs = (1.0 + N / H) * _symmetric_shift_sum(arr, [1.0 - h / H for h in range(H)])
     return float(lhs), float(rhs)
 
 
@@ -121,16 +120,20 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
         raise BadShiftBound(f"kernel length H = {H} must be >= 1")
     conv = np.convolve(np.ones(H, dtype=np.complex128), a.as_array())
     lhs = float(np.sum(np.abs(conv) ** 2))
-    rhs = _symmetric_shift_sum(a, [float(H - h) for h in range(H)])
+    rhs = _symmetric_shift_sum(a.as_array(), [float(H - h) for h in range(H)])
     return lhs, rhs
+
+
+def _character_on_support(a: FiniteSequence, chi: DirichletCharacter) -> np.ndarray:
+    """chi(n) for n over the support of a, read from dlog on the support."""
+    m = chi.modulus
+    d = m.dlog[np.arange(a.support_start, a.support_end + 1) % m.q]
+    return np.where(d >= 0, m.phi_roots[chi.c * d % m.phi], 0)
 
 
 def twisted_sum(a: FiniteSequence, chi: DirichletCharacter) -> complex:
     """sum_n a_n chi(n) over the support."""
-    m = chi.modulus
-    d = m.dlog[np.arange(a.support_start, a.support_end + 1) % m.q]
-    vals = np.where(d >= 0, m.phi_roots[chi.c * d % m.phi], 0)
-    return complex(np.sum(a.as_array() * vals))
+    return complex(np.sum(a.as_array() * _character_on_support(a, chi)))
 
 
 def coset_shift_identity(
@@ -149,15 +152,7 @@ def coset_shift_identity(
         lhs += abs(twisted_sum(a, eta)) ** 2
 
     q0 = m.p**j
-    table = chi.value_table()
-    idx = np.arange(a.support_start, a.support_end + 1) % m.q
-    b = FiniteSequence(
-        a.support_start, tuple(a.as_array() * table[idx])
-    )
-    h_max = (len(a) - 1) // q0
-
-    rhs = shifted_autocorrelation(b, 0).real
-    for h in range(1, h_max + 1):
-        rhs += 2.0 * shifted_autocorrelation(b, h * q0).real
-    rhs *= phi_prime_power(m.p, j)
+    b = a.as_array() * _character_on_support(a, chi)
+    weights = [1.0 if h % q0 == 0 else 0.0 for h in range(len(a))]
+    rhs = _symmetric_shift_sum(b, weights) * phi_prime_power(m.p, j)
     return float(lhs), float(rhs)

@@ -130,6 +130,19 @@ class TestCharacterBasics:
         for n in range(m.q):
             assert abs(table[n] - chi(n)) < 1e-14
 
+    @pytest.mark.parametrize("p, k", [(3, 1), (3, 11), (5, 6), (7, 4), (13, 2)])
+    def test_value_table_bitwise_reference(self, p, k):
+        # phi_roots[c * index_of(n) mod phi] per n, in Python integers; the
+        # exponents near phi make c * index exceed 2^31 at 3^11
+        m = modulus(p, k)
+        index = [m.index_of(n) if n % p else None for n in range(m.q)]
+        for c in sorted({1, m.phi // 2 + 1, m.phi - 1}):
+            want = np.array(
+                [0j if i is None else m.phi_roots[c * i % m.phi] for i in index]
+            )
+            got = DirichletCharacter(m, c).value_table()
+            np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
     def test_to_dict(self):
         chi = DirichletCharacter(modulus(3, 4), 7)
         assert chi.to_dict() == {"p": 3, "k": 4, "c": 7}

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import cosetlfun.cli as cli_module
+import cosetlfun.modular as modular_module
 from cosetlfun.characters import DirichletCharacter, even_primitive_exponents
 from cosetlfun.cli import SUBCOMMANDS, build_parser, main
 from cosetlfun.modular import modulus
@@ -125,6 +126,21 @@ class TestConfigErrors:
     def test_gauss_verify_k1_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify", "--p", "5", "--k", "1")
         assert code == 2
+
+    def test_tables_over_memory_rejected(self, capsys, monkeypatch):
+        # 3^18's unit tables need 15.5e9 bytes: refused on an 8 GiB host
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 8 * 2**30)
+        code, _, err = run_cli(capsys, "gauss-verify", "--p", "3", "--k", "18")
+        assert code == 2
+        assert "InvalidModulus" in err
+
+    def test_hybrid_unfinishable_step(self, capsys):
+        code, _, err = run_cli(
+            capsys, "hybrid", "--p", "3", "--k", "2", "--j", "1",
+            "--t-step", "1e-9",
+        )
+        assert code == 2
+        assert "Euler-Maclaurin shift" in err
 
     def test_gauss_verify_p3_odd_k_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify", "--p", "3", "--k", "3")

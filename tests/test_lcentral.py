@@ -20,6 +20,7 @@ from cosetlfun.lcentral import (
     bernoulli_even,
     completed_l_value,
     digamma,
+    em_shift,
     euler_gamma,
     functional_equation_residual,
     hurwitz_zeta,
@@ -199,6 +200,19 @@ class TestLValue:
                 l_value(chi, 1e12)
             with pytest.raises(PreconditionViolated, match="Euler-Maclaurin shift"):
                 hybrid_moment_quadrature(chi, 1, T=1e7)
+
+    def test_unfinishable_window_refused(self):
+        # 2e9 + 1 samples at t_step = 1e-9 (4e6 + 1 at 1e-6), each one zeta
+        # grid, are priced and refused before np.linspace allocates them
+        chi = DirichletCharacter(modulus(3, 2), 1)
+        with time_limit(5.0):
+            for step in (1e-6, 1e-9):
+                with pytest.raises(PreconditionViolated, match="Euler-Maclaurin shift"):
+                    hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=step)
+        # the benchmark's window at 3^10: 17 grids of 59049 points at a shift
+        # of 10 terms, about 1.0e7 point-terms, stays under the cap
+        n_shift, _ = em_shift(complex(0.5, 12.0), 3.0**-10, 17 * (3**10 + 64))
+        assert 17 * (3**10 + 64) * n_shift < 2**27
 
     def test_conjugate_symmetry(self):
         # L(1/2, chibar) = conj L(1/2, chi) at t = 0

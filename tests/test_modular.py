@@ -206,15 +206,30 @@ class TestPrimePowerModulus:
 
     def test_dlog_roundtrip(self):
         m = modulus(3, 4)
-        for t in m.units:
+        for t in np.flatnonzero(m.dlog >= 0):
             t = int(t)
             assert pow(m.generator, m.index_of(t), m.q) == t
 
     def test_units_listing(self):
         m = modulus(5, 2)
         want = [t for t in range(25) if t % 5 != 0]
-        assert list(m.units) == want
+        assert sorted(m.powers.tolist()) == want
+        assert np.flatnonzero(m.dlog >= 0).tolist() == want
         assert m.phi == 20
+
+    # 3^11 has phi = 118098, past 46341, where 32-bit angle products wrap
+    @pytest.mark.parametrize("p, k", [(3, 1), (3, 11), (5, 6), (7, 4), (13, 2)])
+    def test_generator_order_tables(self, p, k):
+        m = modulus(p, k)
+        pw = m.powers.tolist()
+        assert m.powers.dtype == m.dlog.dtype == np.int64
+        assert len(pw) == m.phi and pw[0] == 1
+        assert all(b == a * m.generator % m.q for a, b in zip(pw, pw[1:]))
+        assert pw[-1] * m.generator % m.q == 1
+        np.testing.assert_array_equal(m.dlog[m.powers], np.arange(m.phi))
+        non_units = np.arange(m.q) % p == 0
+        np.testing.assert_array_equal(m.dlog == -1, non_units)
+        assert not (m.powers.flags.writeable or m.dlog.flags.writeable)
 
     def test_index_of_nonunit_raises(self):
         m = modulus(3, 3)
@@ -241,12 +256,20 @@ class TestPrimePowerModulus:
         assert MAX_MODULUS == 2**31
 
     def test_rejects_table_larger_than_memory(self, monkeypatch):
-        # 3^7 needs an 8 * 2187 = 17496-byte dlog table
-        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 17495)
-        with pytest.raises(InvalidModulus, match="17496 bytes"):
+        # 3^7: dlog 8q, powers 8 phi, q_roots 16q and phi_roots 16 phi make
+        # 24 * (2187 + 1458) = 87480 bytes
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 87479)
+        with pytest.raises(InvalidModulus, match="87480 bytes"):
             PrimePowerModulus(3, 7)
-        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 17496)
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 87480)
         assert PrimePowerModulus(3, 7).q == 2187
+
+    def test_refuses_3_18_before_allocating(self, monkeypatch):
+        # 24 * (3^18 + phi) is about 15.5e9 bytes; an 8 GiB host refuses it
+        # before any table exists, so the refusal is immediate
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 8 * 2**30)
+        with pytest.raises(InvalidModulus, match="15496819560 bytes"):
+            PrimePowerModulus(3, 18)
 
     def test_physical_memory_is_positive(self):
         assert modular_module._physical_memory() > 0

@@ -264,6 +264,29 @@ class TestCosetShiftIdentity:
         for eta in enumerate_coset(CosetSpec(chi, 1, "all")):
             assert abs(twisted_sum(a, eta)) ** 2 <= lhs * (1 + 1e-12)
 
+    @given(
+        sequence_and_shift(),
+        st.sampled_from([(3, 3, 2), (5, 2, 3), (7, 3, 40)]),
+        st.data(),
+    )
+    def test_rhs_matches_per_shift_sum_bitwise(self, case, mod, data):
+        # b_n = a_n chi(n) from the value table, then one shifted
+        # autocorrelation per multiple of q0
+        p, k, c = mod
+        j = data.draw(st.integers(0, k))
+        a = FiniteSequence(data.draw(st.integers(-30, 30)), case[0].coefficients)
+        m = modulus(p, k)
+        chi = DirichletCharacter(m, c)
+        idx = np.arange(a.support_start, a.support_end + 1) % m.q
+        b = FiniteSequence(0, tuple(a.as_array() * chi.value_table()[idx]))
+        q0 = p**j
+        want = shifted_autocorrelation(b, 0).real
+        for h in range(1, (len(a) - 1) // q0 + 1):
+            want += 2.0 * shifted_autocorrelation(b, h * q0).real
+        want *= q0 - q0 // p  # phi(q0), 1 at j = 0
+        _, rhs = coset_shift_identity(a, chi, j)
+        assert rhs == want
+
     def test_full_level_is_plancherel(self):
         # j = k: averaging over every character mod q
         m = modulus(5, 2)
