@@ -59,7 +59,6 @@ from .gauss import (
     gauss_sum_odoni,
     gauss_sums,
     near_one_root_number_check,
-    quadratic_gauss_closed,
     root_number,
 )
 from .lcentral import (
@@ -69,8 +68,6 @@ from .lcentral import (
     digamma,
     euler_gamma,
     functional_equation_residual,
-    hurwitz_zeta,
-    l_series_oracle,
     l_value,
 )
 from .moments import (
@@ -91,9 +88,7 @@ from .vdc import (
     FiniteSequence,
     amplified_l2_identity,
     coset_shift_identity,
-    dirichlet_kernel,
     random_sequence,
-    shifted_autocorrelation,
     twisted_sum,
     vdc_inequality_check,
 )

@@ -29,7 +29,6 @@ from .errors import (
     OddBase,
     PreconditionViolated,
     RegimeMismatch,
-    SharedFactor,
     UnsupportedRegime,
 )
 from .modular import (
@@ -73,19 +72,6 @@ def gauss_sums(m: PrimePowerModulus, n: int = 1) -> np.ndarray:
     new rounding is the FFT's.
     """
     return np.fft.ifft(m.q_roots[n % m.q * m.powers % m.q]) * m.phi
-
-
-def quadratic_gauss_closed(a: int, b: int, q: int) -> complex:
-    """Closed form of sum_x e_q(a x^2 + b x) for odd q and gcd(a, q) = 1.
-
-    Equals q^(1/2) eps_q (a|q) e_q(-(4a)^(-1) b^2), the complete-the-square
-    evaluation.
-    """
-    eps = epsilon_q(q)  # validates parity of q
-    if math.gcd(a, q) != 1:
-        raise SharedFactor(f"gcd({a}, {q}) != 1")
-    shift = -mod_inverse(4 * a, q) * b * b
-    return math.sqrt(q) * eps * jacobi_symbol(a, q) * root_of_unity(shift, q)
 
 
 def gauss_sum_odoni(

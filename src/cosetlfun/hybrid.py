@@ -17,7 +17,7 @@ import numpy as np
 
 from .characters import CosetSpec, DirichletCharacter, enumerate_coset
 from .errors import PreconditionViolated, QuadratureTooCoarse
-from .lcentral import em_shift, l_value
+from .lcentral import grid_route, l_value
 from .modular import PrimePowerModulus
 
 # caps keeping a full scan under ~1e9 elementary operations
@@ -162,8 +162,8 @@ def hybrid_moment_quadrature(
         raise PreconditionViolated("window needs T0 <= T")
     num = math.ceil(T0 / t_step - 1e-12)  # >= 8, as t_step <= T0/8
     # every sample builds one zeta grid of q points, at most as dear as the
-    # last one, so the window is refused before its samples are allocated
-    em_shift(complex(0.5, T + T0), 1 / m.q, (2 * num + 1) * (m.q + 64))
+    # one at T + T0, so the window is refused before its samples are allocated
+    grid_route(m.q, T + T0, 2 * num + 1)
     # the even-index points are exactly np.linspace(T, T + T0, num + 1)
     ts = np.linspace(T, T + T0, 2 * num + 1)
     ys = np.array(

@@ -23,12 +23,24 @@ from .errors import PoleAtOne, PreconditionViolated, PrincipalCharacter
 
 _EM_TAIL_TARGET = 2**-52  # one ulp of 1
 _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
-# One shift term costs about 5.5 us of numpy dispatch plus 80-140 ns per grid
-# point (measured on a 2-core host, numpy 2.4), so n_shift * (len(x) + 64)
-# prices the shift in units of about 85 ns; 2^27 of them is about 11 s.  The
-# shift grows like |t|/2, so this refuses |t| beyond about 4e6 on one point
-# and 4.5e3 on a 3^10 grid.
+# Work is priced in point-terms: one complex power on one grid point, about
+# 60-85 ns, plus 64 per array for numpy dispatch (2-core host, numpy 2.4).  An
+# Euler-Maclaurin grid costs (shift + head) point-terms per point, the head
+# and the Bernoulli terms pricing as _EM_HEAD_TERMS; a Taylor grid costs one
+# power and a Horner step of _TAYLOR_STEP_TERMS per degree per point, plus
+# its centres.  `grid_route` picks the cheaper route and refuses work beyond
+# 2^27 point-terms, about 11 s.  The Euler-Maclaurin shift grows like |t|/2;
+# the Taylor centres grow like |t| and each sums such a shift, so their cost
+# grows like t^2 but not with q.  One point is refused past |t| of about
+# 3.6e6 and a 3^10 grid past 4.4e3, both on Euler-Maclaurin; 3^12 and 3^14
+# grids past 1.7e3 and 1.5e3 on Taylor (Euler-Maclaurin alone: 512 and 56).
 _EM_MAX_SHIFT_WORK = 2**27
+_EM_HEAD_TERMS = 8
+_TAYLOR_POINT_TERMS = 1.5
+_TAYLOR_STEP_TERMS = 1 / 8
+# each of the N + 1 centre evaluations of a Taylor grid meets a quarter of the
+# target, so their weighted tails leave room for the remainder and rounding
+_CENTRE_TAIL_TARGET = _EM_TAIL_TARGET / 4
 
 
 @lru_cache(maxsize=1)
@@ -87,9 +99,11 @@ def _em_coefficients() -> tuple:
     return coefs, abs(float(fr[top] / math.factorial(top)))
 
 
-def em_shift(s: complex, x_min: float, cost_per_term: int) -> tuple[int, float]:
+def em_shift(
+    s: complex, x_min: float, cost_per_term: int, target: float = _EM_TAIL_TARGET
+) -> tuple[int, float]:
     """The least Euler-Maclaurin shift n whose tail bound at x_min meets
-    `_EM_TAIL_TARGET`, with the bound at n.  One shift term costs
+    `target`, with the bound at n.  One shift term costs
     `cost_per_term` point-terms (grid points plus 64 per grid); a shift whose
     cost exceeds `_EM_MAX_SHIFT_WORK` is refused before anything is summed.
     """
@@ -99,7 +113,7 @@ def em_shift(s: complex, x_min: float, cost_per_term: int) -> tuple[int, float]:
     top = 2 * _EM_BERNOULLI_TERMS + 2
     e = s.real + top - 1
     c = tail_coef * math.prod(abs(s + i) for i in range(top)) / e
-    shift = (c / _EM_TAIL_TARGET) ** (1 / e) - x_min  # inf once c overflows
+    shift = (c / target) ** (1 / e) - x_min  # inf once c overflows
     if not shift * cost_per_term <= _EM_MAX_SHIFT_WORK:
         raise PreconditionViolated(
             f"Euler-Maclaurin shift of {shift:.3g} terms at |s| = {abs(s):.3g}, "
@@ -109,11 +123,13 @@ def em_shift(s: complex, x_min: float, cost_per_term: int) -> tuple[int, float]:
     return n_shift, c * (n_shift + x_min) ** -e
 
 
-def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
+def _em_hurwitz(
+    s: complex, x: np.ndarray, target: float = _EM_TAIL_TARGET
+) -> tuple[np.ndarray, float]:
     """Euler-Maclaurin Hurwitz zeta on an array of x > 0, with tail bound.
 
-    The shift n is the least one whose tail bound at min(x) meets
-    `_EM_TAIL_TARGET`; the returned bound is the one at that shift.
+    The shift n is the least one whose tail bound at min(x) meets `target`;
+    the returned bound is the one at that shift.
     """
     s = complex(s)
     if s == 1:
@@ -121,7 +137,7 @@ def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
     if s.real <= 0:
         raise PreconditionViolated("need Re(s) > 0")
     coefs, _ = _em_coefficients()
-    n_shift, bound = em_shift(s, float(x.min()), x.size + 64)
+    n_shift, bound = em_shift(s, float(x.min()), x.size + 64, target)
     acc = np.zeros(x.shape, dtype=np.complex128)
     for n in range(n_shift):
         acc += (n + x) ** (-s)
@@ -138,25 +154,153 @@ def _em_hurwitz(s: complex, x: np.ndarray) -> tuple[np.ndarray, float]:
     return acc, bound
 
 
-def hurwitz_zeta(s: complex, x: float) -> complex:
-    """zeta(s, x) = sum over n >= 0 of (n + x)^(-s), for Re(s) > 0, s != 1."""
-    if x <= 0:
-        raise PreconditionViolated(f"need x > 0, got {x}")
-    vals, _ = _em_hurwitz(s, np.array([float(x)]))
-    return complex(vals[0])
+def _gamma(n: np.ndarray | int):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+
+def _taylor_degree(t: float, centres: int) -> tuple[int, float] | None:
+    """The least degree N at which a Taylor grid at 1/2 + it about `centres`
+    centres meets `_EM_TAIL_TARGET` a priori, with its remainder bound; None
+    when no degree does.
+
+    Term n of zeta(s, c + d) = sum_n (-1)^n (s)_n/n! zeta(s + n, c) d^n is at
+    most w_n Z_n for |d| <= r = 1/(2K) and c >= 1: w_n = |(s)_n|/n! r^n, and
+    Z_n = (n + 1/2)/(n - 1/2) >= zeta(1/2 + n, 1) >= |zeta(s + n, c)| for
+    n >= 1.  As |s + n|/(n + 1) <= hypot(1, t/(n + 1)), the terms past N fall
+    at ratio rho = r hypot(1, t/(N + 2)) or faster.  The tail is the sum of
+    the centres' tails, each weighted by w_n; the remainder
+    w_{N+1} Z_{N+1}/(1 - rho); and the rounding of the terms n >= 1,
+    gamma_{8n+4} sqrt(2) w_n Z_n (see `_taylor_grid`).
+    """
+    s = complex(0.5, t)
+    r = 0.5 / centres
+    w, em, rounding, n = 1.0, _CENTRE_TAIL_TARGET, 0.0, 1
+    while em + rounding <= _EM_TAIL_TARGET:
+        w *= abs(s + n - 1) / n * r
+        z = (n + 0.5) / (n - 0.5)
+        rho = r * math.hypot(1, t / (n + 1))
+        remainder = w * z / (1 - rho) if rho < 1 else math.inf
+        if em + rounding + remainder <= _EM_TAIL_TARGET:
+            return n - 1, remainder
+        em += w * _CENTRE_TAIL_TARGET
+        rounding += _gamma(8 * n + 4) * math.sqrt(2) * w * z
+        n += 1
+    return None
+
+
+def grid_route(q: int, t: float, grids: int = 1) -> int:
+    """The cheaper route to a zeta grid of q points at 1/2 + it: the number
+    of Taylor centres, or 0 for Euler-Maclaurin on every point.
+
+    Both routes are priced in `em_shift`'s point-terms, and the route depends
+    only on (q, |t|).  The Taylor centres are powers of two from the least
+    with rho <= 1/2 on, while their Euler-Maclaurin head alone costs less than
+    the best route so far.  `grids` such grids at once are refused when they
+    cost more than `_EM_MAX_SHIFT_WORK`.
+    """
+    s = complex(0.5, t)
+    # at one point-term per shift term em_shift refuses only a shift that is
+    # over the cap by itself; the routes are priced and refused here
+    n_shift, _ = em_shift(s, 1 / q, 1)
+    best_cost, best = (n_shift + _EM_HEAD_TERMS) * (q + 64), 0
+    centres = 2 ** math.ceil(math.log2(math.hypot(1, t)))
+    while _EM_HEAD_TERMS * (centres + 64) < best_cost:
+        plan = _taylor_degree(t, centres)
+        if plan is not None:
+            degree, _ = plan
+            x_min = 1 + 0.5 / centres
+            centre_terms = sum(
+                em_shift(s + n, x_min, 1, _CENTRE_TAIL_TARGET)[0] + _EM_HEAD_TERMS
+                for n in range(degree + 1)
+            )
+            cost = centre_terms * (centres + 64) + q * (
+                _TAYLOR_POINT_TERMS + degree * _TAYLOR_STEP_TERMS
+            )
+            if cost < best_cost:
+                best_cost, best = cost, centres
+        centres *= 2
+    if not grids * best_cost <= _EM_MAX_SHIFT_WORK:
+        raise PreconditionViolated(
+            f"{grids} zeta grid(s) of {q} points at |s| = {abs(s):.3g} cost "
+            f"{grids * best_cost:.3g} point-terms of Euler-Maclaurin shift or "
+            f"Taylor centres, over the cap of {_EM_MAX_SHIFT_WORK}"
+        )
+    return best
+
+
+def _taylor_grid(t: float, q: int, centres: int) -> tuple[np.ndarray, float]:
+    """zeta(s, a/q) at s = 1/2 + it for a = 1..q, as (a/q)^(-s) plus
+    zeta(s, 1 + a/q), the latter a Taylor series about the nearest of the
+    centres c_k = 1 + (2k + 1) r, r = 1/(2K), with its tail bound.
+
+    The coefficients (-1)^n (s)_n/n! zeta(s + n, c_k) take one
+    `_em_hurwitz` call per degree n; Horner runs on the real and imaginary
+    parts, gathering one coefficient row per step.  The tail sums the
+    centres' tails weighted by |(s)_n|/n! r^n, the remainder of
+    `_taylor_degree`, and the rounding of the terms n >= 1: Horner in the
+    once-rounded offset d gives term n a factor 1 + theta_{3n+1} (Higham,
+    Accuracy and Stability, section 5.1), and forming its coefficient by n
+    rising-factorial steps and one product another 1 + theta_{5n+3}.  As on
+    the Euler-Maclaurin route, whose tail counts truncation only, the
+    rounding inside each Euler-Maclaurin value, of the term n = 0 and of the
+    final sum is not counted in the tail; `l_value`'s per-value allowance
+    stands for it.
+    """
+    s = complex(0.5, t)
+    degree, remainder = _taylor_degree(t, centres)
+    r = 0.5 / centres
+    c = 1 + (2 * np.arange(centres) + 1) * r
+    rows, em_tail, factor = [], 0.0, 1 + 0j
+    for n in range(degree + 1):
+        z, tail = _em_hurwitz(s + n, c, _CENTRE_TAIL_TARGET)
+        rows.append(factor * z)
+        em_tail += abs(factor) * r**n * tail
+        factor *= -(s + n) / (n + 1)
+    re = np.array([row.real for row in rows])
+    im = np.array([row.imag for row in rows])
+    orders = np.arange(1, degree + 1)
+    scale = _gamma(8 * orders + 4) * r**orders
+    # summed by hand: a matrix product would start BLAS for a few rows
+    terms = scale[:, None] * (np.abs(re[1:]) + np.abs(im[1:]))
+    rounding = float(terms.sum(axis=0).max())
+
+    a = np.arange(1, q + 1)
+    vals = (a / q) ** (-s)
+    k = a * centres // q
+    np.minimum(k, centres - 1, out=k)
+    # (1 + a/q) - c_k over an exact integer numerator, rounded once; the
+    # cost cap keeps 2Kq below 2^53.  In place, to hold few q-length arrays.
+    a *= 2 * centres
+    a -= (2 * k + 1) * q
+    d = a / (2 * centres * q)
+    del a
+    acc_re, acc_im = re[degree].take(k), im[degree].take(k)
+    for n in range(degree - 1, -1, -1):
+        acc_re *= d
+        acc_re += re[n].take(k)
+        acc_im *= d
+        acc_im += im[n].take(k)
+    vals.real += acc_re
+    vals.imag += acc_im
+    return vals, em_tail + remainder + rounding
 
 
 # each caller runs every character at one (q, t) before the next (q, t)
 @lru_cache(maxsize=1)
 def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
-    """zeta(1/2 + it, a/q) for a = 1..q, the shared grid for one modulus.
+    """zeta(1/2 + it, a/q) for a = 1..q, the shared grid for one modulus,
+    by the route `grid_route` picks.
 
     Returns (values, uniform tail bound, sum of |values|), the last for
     rounding-error accounting.
     """
-    s = 0.5 + 1j * t
-    x = np.arange(1, q + 1, dtype=np.float64) / q
-    vals, bound = _em_hurwitz(s, x)
+    centres = grid_route(q, t)
+    if centres:
+        vals, bound = _taylor_grid(t, q, centres)
+    else:
+        x = np.arange(1, q + 1, dtype=np.float64) / q
+        vals, bound = _em_hurwitz(0.5 + 1j * t, x)
     vals.setflags(write=False)
     return vals, bound, float(np.abs(vals).sum())
 
@@ -185,43 +329,6 @@ def l_value(chi: DirichletCharacter, t: float = 0.0) -> LValue:
     rounding = (math.log2(m.q) + 4) * 2**-52 * abs_sum
     bound = scale * (m.phi * tail + rounding)
     return LValue(chi, s, m.q ** (-s) * total, bound)
-
-
-def l_series_oracle(
-    chi: DirichletCharacter,
-    t: float = 0.0,
-    terms: int = 100_000,
-    depth: int = 3,
-) -> complex:
-    """Dirichlet series route: iterated Abel summation of sum chi(n) n^(-s).
-
-    After `depth` summations by parts the remaining series has terms of
-    size n^(-1/2 - depth); the periodic partial-sum tables and the boundary
-    contributions are exact, so this shares no code with the Hurwitz route.
-    """
-    if chi.is_principal:
-        raise PrincipalCharacter("series oracle needs chi != chi_0")
-    q = chi.modulus.q
-    s = 0.5 + 1j * float(t)
-    w = chi.value_table()  # index n mod q
-    period = w[np.arange(1, q + 1) % q]  # coefficients at n = 1..q
-    means = []
-    table = period
-    for _ in range(depth):
-        sums = np.cumsum(table)
-        mu = complex(sums.sum()) / q
-        means.append(mu)
-        table = sums - mu
-    f = np.arange(1, terms + depth + 1, dtype=np.float64) ** (-s)
-    total = 0j
-    for r, mu in enumerate(means):
-        # Delta^r f(1), the boundary term of the r-th summation by parts
-        delta_r = f[: r + 1] if r == 0 else (-1) ** r * np.diff(f[: r + 1], r)
-        total += mu * complex(delta_r[0])
-    diffs = (-1) ** depth * np.diff(f, depth)
-    idx = np.arange(terms) % q
-    total += complex((table[idx] * diffs[:terms]).sum())
-    return total
 
 
 def completed_l_value(chi: DirichletCharacter) -> complex:

@@ -58,6 +58,13 @@ def classify_regime(k: int, j: int) -> str:
     return "none"
 
 
+def _level_modulus(m: PrimePowerModulus, j: int) -> int:
+    """q0 = p^j for a moment level, which needs 1 <= j < k."""
+    if not 1 <= j < m.k:
+        raise PreconditionViolated(f"level j = {j} outside [1, {m.k})")
+    return m.p**j
+
+
 def recipe_params(chi: DirichletCharacter, j: int) -> RecipeParams:
     """Signed minimal lifts a (mod p^(k-j)) and b (mod p^j) of ell."""
     m = chi.modulus
@@ -67,14 +74,13 @@ def recipe_params(chi: DirichletCharacter, j: int) -> RecipeParams:
         raise NotPrimitive("recipe needs a primitive character")
     if not chi.is_even:
         raise OddCharacter("recipe is stated for even characters")
-    if not 1 <= j < m.k:
-        raise PreconditionViolated(f"level j = {j} outside [1, {m.k})")
+    q0 = _level_modulus(m, j)
     ell = postnikov_ell(chi)
     a = signed_lift(ell, m.p ** (m.k - j))
-    b = signed_lift(a, m.p**j)
+    b = signed_lift(a, q0)
     return RecipeParams(
         q=m.q,
-        q0=m.p**j,
+        q0=q0,
         ell=ell,
         a_chi=a,
         b_chi=b,
@@ -84,8 +90,7 @@ def recipe_params(chi: DirichletCharacter, j: int) -> RecipeParams:
 
 def predict_D(m: PrimePowerModulus, j: int) -> float:
     """Diagonal main term of the even-coset second moment at level j."""
-    if not 1 <= j < m.k:
-        raise PreconditionViolated(f"level j = {j} outside [1, {m.k})")
+    _level_modulus(m, j)
     q, p = m.q, m.p
     bracket = (
         math.log(q)

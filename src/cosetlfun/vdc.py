@@ -10,7 +10,6 @@ quadrature of the underlying integrals.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,18 +56,6 @@ def random_sequence(
     return FiniteSequence(support_start, tuple(u + 1j * v))
 
 
-def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
-    """sum_n a_{n+h} * conj(a_n) over the overlap of the two supports."""
-    arr = a.as_array()
-    n = arr.size
-    if abs(h) >= n:
-        return 0j
-    if h >= 0:
-        # vdot conjugates its first argument
-        return complex(np.vdot(arr[: n - h], arr[h:]))
-    return complex(np.vdot(arr[-h:], arr[: n + h]))
-
-
 def _symmetric_shift_sum(arr: np.ndarray, weights: list) -> float:
     """sum_{|h| < H} weights[|h|] * C(h) of the sequence arr, with
     H = len(weights), folded pairwise so it is exactly real.
@@ -99,13 +86,6 @@ def vdc_inequality_check(a: FiniteSequence, H: int) -> tuple[float, float]:
     lhs = abs(arr.sum()) ** 2
     rhs = (1.0 + N / H) * _symmetric_shift_sum(arr, [1.0 - h / H for h in range(H)])
     return float(lhs), float(rhs)
-
-
-def dirichlet_kernel(H: int, x: float) -> complex:
-    """sum_{1 <= h <= H} e(hx) with e(x) = exp(2 pi i x)."""
-    if H < 1:
-        raise BadShiftBound(f"kernel length H = {H} must be >= 1")
-    return sum(cmath.exp(2j * cmath.pi * h * x) for h in range(1, H + 1))
 
 
 def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:

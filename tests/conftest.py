@@ -1,6 +1,9 @@
 import math
+from contextlib import contextmanager
 
 from hypothesis import HealthCheck, settings
+
+from cosetlfun import lcentral
 
 settings.register_profile(
     "suite",
@@ -22,3 +25,17 @@ def brute_unit_sum(chi, n: int) -> complex:
             continue
         total += complex(chi(t)) * cmath.exp(2j * cmath.pi * n * t / q)
     return total
+
+
+@contextmanager
+def forced_route(centres: int):
+    """Every zeta grid built in the block takes `centres` Taylor centres, or
+    the Euler-Maclaurin route at 0, whatever `grid_route` would pick."""
+    saved = lcentral.grid_route
+    lcentral.grid_route = lambda q, t, grids=1: centres
+    lcentral._zeta_grid.cache_clear()
+    try:
+        yield
+    finally:
+        lcentral.grid_route = saved
+        lcentral._zeta_grid.cache_clear()

@@ -1,0 +1,102 @@
+"""Reference evaluators that only the tests call.
+
+Each one computes a quantity of the library by a route that shares no code
+with the library's own evaluator of it (the Abel-summation series against
+the Hurwitz grid, a direct overlap sum against one correlation), or states a
+closed form that the library checks against brute sums.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+from cosetlfun.characters import DirichletCharacter
+from cosetlfun.errors import (
+    BadShiftBound,
+    PreconditionViolated,
+    PrincipalCharacter,
+    SharedFactor,
+)
+from cosetlfun.lcentral import _em_hurwitz
+from cosetlfun.modular import epsilon_q, jacobi_symbol, mod_inverse, root_of_unity
+from cosetlfun.vdc import FiniteSequence
+
+
+def quadratic_gauss_closed(a: int, b: int, q: int) -> complex:
+    """Closed form of sum_x e_q(a x^2 + b x) for odd q and gcd(a, q) = 1.
+
+    Equals q^(1/2) eps_q (a|q) e_q(-(4a)^(-1) b^2), the complete-the-square
+    evaluation.
+    """
+    eps = epsilon_q(q)  # validates parity of q
+    if math.gcd(a, q) != 1:
+        raise SharedFactor(f"gcd({a}, {q}) != 1")
+    shift = -mod_inverse(4 * a, q) * b * b
+    return math.sqrt(q) * eps * jacobi_symbol(a, q) * root_of_unity(shift, q)
+
+
+def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
+    """sum_n a_{n+h} * conj(a_n) over the overlap of the two supports."""
+    arr = a.as_array()
+    n = arr.size
+    if abs(h) >= n:
+        return 0j
+    if h >= 0:
+        # vdot conjugates its first argument
+        return complex(np.vdot(arr[: n - h], arr[h:]))
+    return complex(np.vdot(arr[-h:], arr[: n + h]))
+
+
+def dirichlet_kernel(H: int, x: float) -> complex:
+    """sum_{1 <= h <= H} e(hx) with e(x) = exp(2 pi i x)."""
+    if H < 1:
+        raise BadShiftBound(f"kernel length H = {H} must be >= 1")
+    return sum(cmath.exp(2j * cmath.pi * h * x) for h in range(1, H + 1))
+
+
+def hurwitz_zeta(s: complex, x: float) -> complex:
+    """zeta(s, x) = sum over n >= 0 of (n + x)^(-s), for Re(s) > 0, s != 1."""
+    if x <= 0:
+        raise PreconditionViolated(f"need x > 0, got {x}")
+    vals, _ = _em_hurwitz(s, np.array([float(x)]))
+    return complex(vals[0])
+
+
+def l_series_oracle(
+    chi: DirichletCharacter,
+    t: float = 0.0,
+    terms: int = 100_000,
+    depth: int = 3,
+) -> complex:
+    """Dirichlet series route: iterated Abel summation of sum chi(n) n^(-s).
+
+    After `depth` summations by parts the remaining series has terms of
+    size n^(-1/2 - depth); the periodic partial-sum tables and the boundary
+    contributions are exact, so this shares no code with the Hurwitz route.
+    """
+    if chi.is_principal:
+        raise PrincipalCharacter("series oracle needs chi != chi_0")
+    q = chi.modulus.q
+    s = 0.5 + 1j * float(t)
+    w = chi.value_table()  # index n mod q
+    period = w[np.arange(1, q + 1) % q]  # coefficients at n = 1..q
+    means = []
+    table = period
+    for _ in range(depth):
+        sums = np.cumsum(table)
+        mu = complex(sums.sum()) / q
+        means.append(mu)
+        table = sums - mu
+    f = np.arange(1, terms + depth + 1, dtype=np.float64) ** (-s)
+    total = 0j
+    for r, mu in enumerate(means):
+        # Delta^r f(1), the boundary term of the r-th summation by parts
+        delta_r = f[: r + 1] if r == 0 else (-1) ** r * np.diff(f[: r + 1], r)
+        total += mu * complex(delta_r[0])
+    diffs = (-1) ** depth * np.diff(f, depth)
+    idx = np.arange(terms) % q
+    total += complex((table[idx] * diffs[:terms]).sum())
+    return total

@@ -30,11 +30,11 @@ from cosetlfun.gauss import (
     gauss_sum_odoni,
     gauss_sums,
     near_one_root_number_check,
-    quadratic_gauss_closed,
     root_number,
 )
 from cosetlfun.modular import modulus, sample_units
 from cosetlfun.report import rel_err
+from oracles import quadratic_gauss_closed
 
 
 class TestGaussSumBrute:

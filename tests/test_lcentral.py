@@ -16,6 +16,8 @@ from cosetlfun.errors import (
 )
 from cosetlfun.hybrid import hybrid_moment_quadrature
 from cosetlfun.lcentral import (
+    _em_hurwitz,
+    _taylor_grid,
     _zeta_grid,
     bernoulli_even,
     completed_l_value,
@@ -23,11 +25,12 @@ from cosetlfun.lcentral import (
     em_shift,
     euler_gamma,
     functional_equation_residual,
-    hurwitz_zeta,
-    l_series_oracle,
+    grid_route,
     l_value,
 )
 from cosetlfun.modular import modulus
+from conftest import forced_route
+from oracles import hurwitz_zeta, l_series_oracle
 
 
 @contextmanager
@@ -138,6 +141,88 @@ class TestHurwitzZeta:
             hurwitz_zeta(-0.5 + 1j, 0.5)
 
 
+class TestTaylorRoute:
+    @given(
+        st.sampled_from([9, 81, 3**6, 5**5, 3**8, 7**5, 3**10, 3**12]),
+        st.floats(0.0, 500.0),
+        st.integers(1, 64),
+    )
+    def test_route_depends_only_on_q_and_abs_t(self, q, t, grids):
+        route = grid_route(q, t)
+        assert grid_route(q, -t) == route
+        # the number of grids priced together only decides refusal
+        try:
+            assert grid_route(q, t, grids) == route
+        except PreconditionViolated:
+            pass
+
+    @pytest.mark.parametrize("q", [9, 81])
+    def test_small_moduli_stay_on_euler_maclaurin(self, q):
+        for t in (0.0, 6.0, 12.0, 20.0, 50.0, 200.0, 1000.0):
+            assert grid_route(q, t) == 0
+            assert grid_route(q, -t) == 0
+
+    def test_large_moduli_take_taylor(self):
+        assert grid_route(3**10, 12.0) > 0
+        assert grid_route(3**14, 0.0) > 0
+
+    @given(
+        st.sampled_from([(3, 3), (7, 2), (3, 4), (5, 3), (3, 5)]),
+        st.integers(1, 10**6),
+        st.floats(-50.0, 50.0),
+    )
+    def test_taylor_matches_euler_maclaurin(self, pk, c, t):
+        m = modulus(*pk)
+        chi = DirichletCharacter(m, c % (m.phi - 1) + 1)
+        with forced_route(0):
+            em = l_value(chi, t)
+        with forced_route(4096):
+            taylor = l_value(chi, t)
+        assert abs(em.value - taylor.value) <= em.abs_error_bound + taylor.abs_error_bound
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="l_value's per-value rounding allowance, (log2 q + 4) ulps, does "
+        "not grow with |t|, while every power w^(-s) on the grid carries about "
+        "|t| log(w) ulps of phase error; at q = 9 and |t| near 50 the two "
+        "routes' errors outgrow it",
+    )
+    def test_small_modulus_bound_misses_phase_rounding(self):
+        t = 48.0
+        chi = DirichletCharacter(modulus(3, 2), 5)
+        with forced_route(0):
+            em = l_value(chi, t)
+        with forced_route(4096):
+            taylor = l_value(chi, t)
+        assert abs(em.value - taylor.value) <= em.abs_error_bound + taylor.abs_error_bound
+
+    @pytest.mark.parametrize("q, t", [(3**6, 0.0), (3**6, 12.0), (5**5, -20.0), (3**8, 40.0)])
+    def test_taylor_tail_meets_target(self, q, t):
+        # the centres' tails, the remainder and the Horner rounding together
+        _, tail = _taylor_grid(t, q, 4096)
+        assert 0 < tail <= 2**-52
+
+    def test_grid_refused_by_euler_maclaurin_now_builds(self):
+        # a 3^14 grid at t = 200 needs about 97 shift terms on 4.8e6 points,
+        # over the cap, and is priced under it as a Taylor grid
+        s = complex(0.5, 200.0)
+        with pytest.raises(PreconditionViolated, match="Euler-Maclaurin shift"):
+            em_shift(s, 3.0**-14, 3**14 + 64)
+        assert grid_route(3**14, 200.0) > 0
+        # the same route at 3^12, checked on sampled points against
+        # Euler-Maclaurin: both raise arguments w to the power -s, whose phase
+        # carries about |t| log(w) ulps, so the allowance is the per-value one
+        # of l_value scaled by |s|
+        q = 3**12
+        centres = grid_route(q, 200.0)
+        assert centres > 0
+        vals, tail = _taylor_grid(200.0, q, centres)
+        a = np.random.default_rng(5).choice(np.arange(1, q + 1), 64, replace=False)
+        want, em_tail = _em_hurwitz(s, a / q)
+        allowance = abs(s) * (math.log2(q) + 4) * 2**-52 * np.maximum(1, np.abs(want))
+        assert (np.abs(vals[a - 1] - want) <= tail + em_tail + allowance).all()
+
+
 class TestLValue:
     def test_matches_series_oracle_central(self):
         for p, k in ((3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
@@ -202,17 +287,20 @@ class TestLValue:
                 hybrid_moment_quadrature(chi, 1, T=1e7)
 
     def test_unfinishable_window_refused(self):
-        # 2e9 + 1 samples at t_step = 1e-9 (4e6 + 1 at 1e-6), each one zeta
-        # grid, are priced and refused before np.linspace allocates them
+        # 4e9 + 1 samples at t_step = 1e-9 (4e6 + 1 at 1e-6), the step's grid
+        # and its midpoints, each one zeta grid priced by grid_route, are
+        # refused before np.linspace allocates them
         chi = DirichletCharacter(modulus(3, 2), 1)
         with time_limit(5.0):
             for step in (1e-6, 1e-9):
                 with pytest.raises(PreconditionViolated, match="Euler-Maclaurin shift"):
                     hybrid_moment_quadrature(chi, 1, T=10.0, T0=2.0, t_step=step)
-        # the benchmark's window at 3^10: 17 grids of 59049 points at a shift
-        # of 10 terms, about 1.0e7 point-terms, stays under the cap
+        # the benchmark's window at 3^10: 17 grids of 59049 points, on either
+        # route, stays under the cap; at a shift of 10 terms Euler-Maclaurin
+        # would price them at about 1.0e7 point-terms
         n_shift, _ = em_shift(complex(0.5, 12.0), 3.0**-10, 17 * (3**10 + 64))
         assert 17 * (3**10 + 64) * n_shift < 2**27
+        assert grid_route(3**10, 12.0, 17) > 0
 
     def test_conjugate_symmetry(self):
         # L(1/2, chibar) = conj L(1/2, chi) at t = 0

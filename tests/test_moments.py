@@ -17,7 +17,7 @@ from cosetlfun.errors import (
     PreconditionViolated,
     RegimeMismatch,
 )
-from cosetlfun.lcentral import digamma, euler_gamma, l_series_oracle
+from cosetlfun.lcentral import digamma, euler_gamma
 from cosetlfun.modular import (
     divisor_count,
     jacobi_symbol,
@@ -35,6 +35,7 @@ from cosetlfun.moments import (
     predict_moment,
     recipe_params,
 )
+from oracles import l_series_oracle
 
 
 class TestClassifyRegime:

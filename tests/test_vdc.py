@@ -13,12 +13,11 @@ from cosetlfun.vdc import (
     FiniteSequence,
     amplified_l2_identity,
     coset_shift_identity,
-    dirichlet_kernel,
     random_sequence,
-    shifted_autocorrelation,
     twisted_sum,
     vdc_inequality_check,
 )
+from oracles import dirichlet_kernel, shifted_autocorrelation
 
 complex_coeffs = st.lists(
     st.tuples(st.floats(-5, 5), st.floats(-5, 5)).map(lambda t: complex(*t)),
