@@ -157,8 +157,8 @@ class CosetSpec:
         return phi_prime_power(self.base.modulus.p, self.j)
 
 
-def enumerate_coset(spec: CosetSpec) -> tuple[DirichletCharacter, ...]:
-    """Members of the coset, parity-filtered, ascending in exponent."""
+def coset_exponents(spec: CosetSpec) -> list:
+    """Exponents of the coset's members, parity-filtered, ascending."""
     m = spec.base.modulus
     step = m.p ** (m.k - spec.j)
     want = {"all": (0, 1), "even": (0,), "odd": (1,)}[spec.parity]
@@ -166,6 +166,10 @@ def enumerate_coset(spec: CosetSpec) -> tuple[DirichletCharacter, ...]:
         (spec.base.c + i * step) % m.phi
         for i in range(spec.subgroup_order)
     )
-    return tuple(
-        DirichletCharacter(m, c) for c in exponents if c % 2 in want
-    )
+    return [c for c in exponents if c % 2 in want]
+
+
+def enumerate_coset(spec: CosetSpec) -> tuple[DirichletCharacter, ...]:
+    """Members of the coset, parity-filtered, ascending in exponent."""
+    m = spec.base.modulus
+    return tuple(DirichletCharacter(m, c) for c in coset_exponents(spec))

@@ -247,9 +247,10 @@ def cmd_shift_identity(args: argparse.Namespace, res: RunResult) -> None:
     rng = np.random.default_rng(args.seed)
     for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
+        exponents = primitive_exponents(m)
         for j in args.j or range(0, k + 1):
             for i in range(args.trials):
-                c = int(rng.choice(primitive_exponents(m)))
+                c = int(rng.choice(exponents))
                 seq = random_sequence(50, rng)
                 lhs, rhs = coset_shift_identity(seq, DirichletCharacter(m, c), j)
                 res.add(m.q, j, i, c, lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))

@@ -57,9 +57,17 @@ def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
     term is a correctly rounded root of unity.
     """
     m = chi.modulus
-    ang_chi = chi.c * np.arange(m.phi) % m.phi
-    ang_e = n % m.q * m.powers % m.q
-    return complex((m.phi_roots[ang_chi] * m.q_roots[ang_e]).sum())
+    # one index array, reused in place for both angles: fresh phi-length
+    # temporaries per call make the time depend on how the allocator trims
+    # and regrows the heap
+    idx = np.arange(m.phi)
+    idx *= chi.c
+    idx %= m.phi
+    terms = m.phi_roots[idx]
+    np.multiply(m.powers, n % m.q, out=idx)
+    idx %= m.q
+    terms *= m.q_roots[idx]
+    return complex(terms.sum())
 
 
 def gauss_sums(m: PrimePowerModulus, n: int = 1) -> np.ndarray:

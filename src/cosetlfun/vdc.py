@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import CosetSpec, DirichletCharacter, enumerate_coset, phi_prime_power
+from .characters import CosetSpec, DirichletCharacter, coset_exponents, phi_prime_power
 from .errors import BadShiftBound, PreconditionViolated
+from .modular import PrimePowerModulus
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,44 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _character_on_support(a: FiniteSequence, chi: DirichletCharacter) -> np.ndarray:
-    """chi(n) for n over the support of a, read from dlog on the support."""
-    m = chi.modulus
-    d = m.dlog[np.arange(a.support_start, a.support_end + 1) % m.q]
-    return np.where(d >= 0, m.phi_roots[chi.c * d % m.phi], 0)
+# largest rows * support length that twisted_sum gathers at once; a coset of
+# phi(q) members at a long support would otherwise need phi * N complex
+# entries and their int64 angles together
+TWIST_BLOCK = 2**16
 
 
-def twisted_sum(a: FiniteSequence, chi: DirichletCharacter) -> complex:
-    """sum_n a_n chi(n) over the support."""
-    return complex(np.sum(a.as_array() * _character_on_support(a, chi)))
+def _support_dlogs(a: FiniteSequence, m: PrimePowerModulus) -> np.ndarray:
+    """Index of each n on the support of a, -1 where p | n."""
+    return m.dlog[np.arange(a.support_start, a.support_end + 1) % m.q]
+
+
+def _character_rows(m: PrimePowerModulus, d: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """chi_c(n) for each exponent c in cs (rows) and each n (columns) with
+    dlog d; angles are reduced exactly in int64, so every entry is a table
+    root of unity, and entries off the units are 0."""
+    rows = m.phi_roots[cs[:, None] * d % m.phi]
+    rows[:, d < 0] = 0
+    return rows
+
+
+def twisted_sum(a: FiniteSequence, m: PrimePowerModulus, cs) -> np.ndarray:
+    """sum_n a_n chi_c(n) over the support, for each exponent c in cs.
+
+    One dlog gather of the support serves every c.  Rows are formed and
+    summed in blocks of at most TWIST_BLOCK entries, so memory stays bounded
+    whatever the number of exponents.  Each row is its own elementwise
+    product and sum, so its value does not depend on the blocking.
+    """
+    arr = a.as_array()
+    d = _support_dlogs(a, m)
+    cs = np.asarray(cs, dtype=np.int64) % m.phi
+    out = np.empty(cs.size, dtype=np.complex128)
+    step = max(1, TWIST_BLOCK // arr.size)
+    for lo in range(0, cs.size, step):
+        rows = _character_rows(m, d, cs[lo : lo + step])
+        rows *= arr
+        out[lo : lo + step] = rows.sum(axis=1)
+    return out
 
 
 def coset_shift_identity(
@@ -122,17 +151,17 @@ def coset_shift_identity(
     """Coset mean square vs shifted-by-q0 autocorrelations; exact identity.
 
     lhs sums |sum_n a_n eta(n)|^2 over the full coset of chi by the level-j
-    subgroup.  Orthogonality collapses this to phi(p^j) times the sum of
-    autocorrelations of b_n = a_n chi(n) at shifts divisible by q0 = p^j.
+    subgroup, one direct twisted sum per member.  Orthogonality collapses
+    this to phi(p^j) times the sum of autocorrelations of b_n = a_n chi(n) at
+    shifts divisible by q0 = p^j.
     """
     m = chi.modulus
-    spec = CosetSpec(chi, j, "all")
-    lhs = 0.0
-    for eta in enumerate_coset(spec):
-        lhs += abs(twisted_sum(a, eta)) ** 2
+    sums = twisted_sum(a, m, coset_exponents(CosetSpec(chi, j, "all")))
+    lhs = np.sum(sums.real**2 + sums.imag**2)
 
     q0 = m.p**j
-    b = a.as_array() * _character_on_support(a, chi)
+    chi_row = _character_rows(m, _support_dlogs(a, m), np.array([chi.c]))
+    b = a.as_array() * chi_row[0]
     weights = [1.0 if h % q0 == 0 else 0.0 for h in range(len(a))]
     rhs = _symmetric_shift_sum(b, weights) * phi_prime_power(m.p, j)
     return float(lhs), float(rhs)

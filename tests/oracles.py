@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from cosetlfun.characters import DirichletCharacter
+from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
 from cosetlfun.errors import (
     BadShiftBound,
     PreconditionViolated,
@@ -48,6 +48,22 @@ def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
         # vdot conjugates its first argument
         return complex(np.vdot(arr[: n - h], arr[h:]))
     return complex(np.vdot(arr[-h:], arr[: n + h]))
+
+
+def twisted_sum_oracle(a: FiniteSequence, chi: DirichletCharacter) -> complex:
+    """sum_n a_n chi(n) over the support, one character at a time, with chi
+    read from its value table instead of a dlog gather."""
+    idx = np.arange(a.support_start, a.support_end + 1) % chi.modulus.q
+    return complex(np.sum(a.as_array() * chi.value_table()[idx]))
+
+
+def coset_mean_square(a: FiniteSequence, chi: DirichletCharacter, j: int) -> float:
+    """sum of |sum_n a_n eta(n)|^2 over the level-j coset of chi, one member
+    at a time."""
+    total = 0.0
+    for eta in enumerate_coset(CosetSpec(chi, j, "all")):
+        total += abs(twisted_sum_oracle(a, eta)) ** 2
+    return total
 
 
 def dirichlet_kernel(H: int, x: float) -> complex:

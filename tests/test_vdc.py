@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
+from cosetlfun import vdc
+from cosetlfun.characters import (
+    CosetSpec,
+    DirichletCharacter,
+    enumerate_coset,
+    primitive_exponents,
+)
 from cosetlfun.errors import BadShiftBound, PreconditionViolated
 from cosetlfun.modular import modulus
 from cosetlfun.vdc import (
@@ -17,7 +23,12 @@ from cosetlfun.vdc import (
     twisted_sum,
     vdc_inequality_check,
 )
-from oracles import dirichlet_kernel, shifted_autocorrelation
+from oracles import (
+    coset_mean_square,
+    dirichlet_kernel,
+    shifted_autocorrelation,
+    twisted_sum_oracle,
+)
 
 complex_coeffs = st.lists(
     st.tuples(st.floats(-5, 5), st.floats(-5, 5)).map(lambda t: complex(*t)),
@@ -209,14 +220,75 @@ class TestTwistedSum:
         chi = DirichletCharacter(m, 1)
         a = FiniteSequence(1, (1.0, 1.0, 1.0, 1.0))
         want = chi(1) + chi(2) + chi(3) + chi(4)
-        assert twisted_sum(a, chi) == pytest.approx(want, abs=1e-14)
+        assert twisted_sum(a, m, [chi.c])[0] == pytest.approx(want, abs=1e-14)
 
     def test_support_offset(self):
         m = modulus(3, 2)
         chi = DirichletCharacter(m, 2)
         a = FiniteSequence(10, (2.0, -1j))
         want = 2.0 * chi(10) + (-1j) * chi(11)
-        assert twisted_sum(a, chi) == pytest.approx(want, abs=1e-14)
+        assert twisted_sum(a, m, [chi.c])[0] == pytest.approx(want, abs=1e-14)
+
+
+@st.composite
+def sequence_on_small_modulus(draw):
+    """A small modulus and a sequence on it, starting anywhere in [-30, 30]
+    and sometimes longer than q."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]))
+    m = modulus(p, k)
+    n = draw(st.integers(1, m.q + 10))
+    parts = st.floats(-5, 5)
+    coeffs = draw(st.lists(st.builds(complex, parts, parts), min_size=n, max_size=n))
+    return m, FiniteSequence(draw(st.integers(-30, 30)), tuple(coeffs))
+
+
+class TestBatchedTwistedSum:
+    # one row per exponent against the one-character-at-a-time oracle; the
+    # terms agree bit for bit, so the rows differ only by summation order
+    @given(sequence_on_small_modulus())
+    def test_rows_match_oracle(self, case):
+        m, a = case
+        got = twisted_sum(a, m, range(m.phi))
+        tol = 4 * len(a) * 2**-53 * float(np.sum(np.abs(a.as_array())))
+        for c in range(m.phi):
+            want = twisted_sum_oracle(a, DirichletCharacter(m, c))
+            assert abs(got[c] - want) <= tol
+
+    @given(sequence_on_small_modulus(), st.data())
+    def test_lhs_matches_member_loop(self, case, data):
+        m, a = case
+        chi = DirichletCharacter(m, data.draw(st.sampled_from(primitive_exponents(m))))
+        j = data.draw(st.integers(0, m.k))
+        lhs, _ = coset_shift_identity(a, chi, j)
+        assert lhs == pytest.approx(coset_mean_square(a, chi, j), rel=1e-13)
+
+    def test_members_are_the_coset(self, monkeypatch):
+        seen = []
+        batched = vdc.twisted_sum
+
+        def recording(a, m, cs):
+            seen.append(list(cs))
+            return batched(a, m, cs)
+
+        monkeypatch.setattr(vdc, "twisted_sum", recording)
+        a = random_sequence(30, np.random.default_rng(4))
+        for p, k, c in ((3, 3, 2), (5, 2, 7), (7, 2, 41)):
+            chi = DirichletCharacter(modulus(p, k), c)
+            for j in range(k + 1):
+                coset_shift_identity(a, chi, j)
+                members = enumerate_coset(CosetSpec(chi, j, "all"))
+                assert seen.pop() == [eta.c for eta in members]
+
+    def test_blocks_do_not_change_bits(self, monkeypatch):
+        m = modulus(5, 3)
+        chi = DirichletCharacter(m, 3)
+        a = random_sequence(70, np.random.default_rng(6), support_start=-12)
+        whole = twisted_sum(a, m, range(m.phi))
+        identity = coset_shift_identity(a, chi, 2)
+        # 3 rows per block, so the 20-member coset takes 7 blocks
+        monkeypatch.setattr(vdc, "TWIST_BLOCK", 3 * len(a))
+        assert np.array_equal(twisted_sum(a, m, range(m.phi)), whole)
+        assert coset_shift_identity(a, chi, 2) == identity
 
 
 class TestCosetShiftIdentity:
@@ -237,7 +309,7 @@ class TestCosetShiftIdentity:
         chi = DirichletCharacter(m, 1)
         a = random_sequence(40, np.random.default_rng(7))
         lhs, rhs = coset_shift_identity(a, chi, 0)
-        assert lhs == pytest.approx(abs(twisted_sum(a, chi)) ** 2, rel=1e-12)
+        assert lhs == pytest.approx(abs(twisted_sum(a, m, [chi.c])[0]) ** 2, rel=1e-12)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_short_support_only_diagonal(self):
@@ -260,8 +332,9 @@ class TestCosetShiftIdentity:
         chi = DirichletCharacter(m, 2)
         a = random_sequence(60, np.random.default_rng(9))
         lhs, _ = coset_shift_identity(a, chi, 1)
-        for eta in enumerate_coset(CosetSpec(chi, 1, "all")):
-            assert abs(twisted_sum(a, eta)) ** 2 <= lhs * (1 + 1e-12)
+        members = [eta.c for eta in enumerate_coset(CosetSpec(chi, 1, "all"))]
+        for s in twisted_sum(a, m, members):
+            assert abs(s) ** 2 <= lhs * (1 + 1e-12)
 
     @given(
         sequence_and_shift(),
