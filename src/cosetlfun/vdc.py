@@ -129,9 +129,10 @@ def twisted_sum(a: FiniteSequence, m: PrimePowerModulus, cs) -> np.ndarray:
     """sum_n a_n chi_c(n) over the support, for each exponent c in cs.
 
     One dlog gather of the support serves every c.  Rows are formed and
-    summed in blocks of at most TWIST_BLOCK entries, so memory stays bounded
-    whatever the number of exponents.  Each row is its own elementwise
-    product and sum, so its value does not depend on the blocking.
+    summed in blocks of at most TWIST_BLOCK entries (one row when the
+    support alone is longer), so memory stays bounded whatever the number of
+    exponents.  Each row is its own elementwise product and sum, so its
+    value does not depend on the blocking.
     """
     arr = a.as_array()
     d = _support_dlogs(a, m)
