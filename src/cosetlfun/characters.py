@@ -158,15 +158,16 @@ class CosetSpec:
 
 
 def coset_exponents(spec: CosetSpec) -> list:
-    """Exponents of the coset's members, parity-filtered, ascending."""
+    """Exponents of the coset's members, parity-filtered, ascending.
+
+    They are the residue class of the base exponent mod p^(k-j) in
+    [0, phi): for j >= 1 the class has phi/p^(k-j) = phi(p^j) members, and
+    for j = 0 it is the base alone.
+    """
     m = spec.base.modulus
     step = m.p ** (m.k - spec.j)
     want = {"all": (0, 1), "even": (0,), "odd": (1,)}[spec.parity]
-    exponents = sorted(
-        (spec.base.c + i * step) % m.phi
-        for i in range(spec.subgroup_order)
-    )
-    return [c for c in exponents if c % 2 in want]
+    return [c for c in range(spec.base.c % step, m.phi, step) if c % 2 in want]
 
 
 def enumerate_coset(spec: CosetSpec) -> tuple[DirichletCharacter, ...]:

@@ -26,14 +26,16 @@ MAX_SCAN_CELLS = 256
 
 
 def char_sum_S(
-    chi: DirichletCharacter, h: int, j: int, freqs: Sequence[int]
-) -> list[complex]:
+    chi: DirichletCharacter, hs: Sequence[int], j: int, freqs: Sequence[int]
+) -> np.ndarray:
     """sum over alpha mod q of chi(alpha + h*q0) conj(chi(alpha)) e_q(alpha n),
-    one value per frequency n in `freqs`.
+    as a (len(hs), len(freqs)) array: one row per shift h in `hs`, one
+    column per frequency n in `freqs`.
 
     Direct summation; terms where alpha or alpha + h*q0 shares a factor with
-    q vanish through the character table.  The weight is formed once per
-    shift and each frequency sums it against its own phase vector.
+    q vanish through the character table.  The phase rows are formed once
+    per call, and each shift sums its weight against all of them, one shift
+    at a time so that no shifts x freqs x q array is held.
     """
     m = chi.modulus
     if not 0 <= j <= m.k:
@@ -41,12 +43,15 @@ def char_sum_S(
     q = m.q
     q0 = m.p**j
     table = chi.value_table()
+    conj = np.conj(table)
     alpha = np.arange(q)
-    w = table[(alpha + h * q0) % q] * np.conj(table)
-    return [
-        complex(np.sum(w * np.exp((2j * np.pi * (n % q) / q) * alpha)))
-        for n in freqs
-    ]
+    angles = np.array([2j * np.pi * (n % q) / q for n in freqs], dtype=complex)
+    phases = np.exp(angles[:, None] * alpha)
+    out = np.empty((len(hs), len(freqs)), dtype=np.complex128)
+    for row, h in zip(out, hs):
+        w = table[(alpha + h * q0) % q] * conj
+        np.sum(w * phases, axis=1, out=row)
+    return out
 
 
 def _doubling(limit: int) -> list[int]:
@@ -97,11 +102,12 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     freqs = [sn for n in range(1, B + 1) for sn in (n, -n)]
     abs_s = np.zeros((A, 2 * B))
     zero_col = np.zeros(A)
-    for ai in range(A):
-        for h in (ai + 1, -(ai + 1)):
-            *sums, zero = map(abs, char_sum_S(chi, h, j, freqs + [0]))
-            abs_s[ai] += sums
-            zero_col[ai] += zero
+    shifts = [sh for h in range(1, A + 1) for sh in (h, -h)]
+    for i, row in enumerate(char_sum_S(chi, shifts, j, freqs + [0])):
+        # Python abs per value: np.abs rounds some noise cells differently
+        *sums, zero = map(abs, row.tolist())
+        abs_s[i // 2] += sums
+        zero_col[i // 2] += zero
 
     report = Lemma9Scan(noise_floor=1e-9 * math.sqrt(q))
     for a_cap in _doubling(A):

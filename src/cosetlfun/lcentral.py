@@ -23,15 +23,17 @@ from .errors import PoleAtOne, PreconditionViolated, PrincipalCharacter
 
 _EM_TAIL_TARGET = 2**-52  # one ulp of 1
 _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
-# Work is priced in point-terms: one complex power on one grid point, about
-# 60-85 ns, plus 64 per array for numpy dispatch (2-core host, numpy 2.4).  An
-# Euler-Maclaurin grid costs (shift + head) point-terms per point, the head
-# and the Bernoulli terms pricing as _EM_HEAD_TERMS; a Taylor grid costs one
-# power and a Horner step of _TAYLOR_STEP_TERMS per degree per point, plus
-# its centres.  `grid_route` picks the cheaper route and refuses work beyond
-# 2^27 point-terms, about 11 s.  The Euler-Maclaurin shift grows like |t|/2;
-# the Taylor centres grow like |t| and each sums such a shift, so their cost
-# grows like t^2 but not with q.  One point is refused past |t| of about
+# Work is priced in point-terms: one complex power on one grid point, plus 64
+# per array for numpy dispatch.  A power took 60-85 ns as numpy's complex
+# power when these constants were set, and takes 30-55 ns as `_power` (2-core
+# host, numpy 2.4).  An Euler-Maclaurin grid costs (shift + head) point-terms
+# per point, the head and the Bernoulli terms pricing as _EM_HEAD_TERMS; a
+# Taylor grid costs one power and a Horner step of _TAYLOR_STEP_TERMS per
+# degree per point, plus its centres.  `grid_route` picks the cheaper route
+# and refuses work beyond 2^27 point-terms, about 11 s at the old price and
+# 4-7 s at the new.  The Euler-Maclaurin shift grows like |t|/2; the Taylor
+# centres grow like |t| and each sums such a shift, so their cost grows like
+# t^2 but not with q.  One point is refused past |t| of about
 # 3.6e6 and a 3^10 grid past 4.4e3, both on Euler-Maclaurin; 3^12 and 3^14
 # grids past 1.7e3 and 1.5e3 on Taylor (Euler-Maclaurin alone: 512 and 56).
 _EM_MAX_SHIFT_WORK = 2**27
@@ -123,6 +125,23 @@ def em_shift(
     return n_shift, c * (n_shift + x_min) ** -e
 
 
+def _power(x: np.ndarray, s: complex) -> np.ndarray:
+    """x^(-s) for real x > 0 from one real logarithm, as
+    exp(-sigma log x) (cos(t log x) - i sin(t log x)) with s = sigma + it;
+    numpy's complex power takes a complex logarithm and exponential.  sin and
+    cos run on contiguous arrays: into the strided halves of a complex array
+    they take about twice as long."""
+    lx = np.log(x)
+    phase = lx * s.imag
+    lx *= -s.real
+    mag = np.exp(lx, out=lx)
+    out = np.empty(lx.shape, dtype=np.complex128)
+    out.real = np.cos(phase) * mag
+    mag *= np.sin(phase)
+    out.imag = -mag
+    return out
+
+
 def _em_hurwitz(
     s: complex, x: np.ndarray, target: float = _EM_TAIL_TARGET
 ) -> tuple[np.ndarray, float]:
@@ -140,10 +159,11 @@ def _em_hurwitz(
     n_shift, bound = em_shift(s, float(x.min()), x.size + 64, target)
     acc = np.zeros(x.shape, dtype=np.complex128)
     for n in range(n_shift):
-        acc += (n + x) ** (-s)
+        acc += _power(n + x, s)
     w = n_shift + x
-    acc += w ** (1 - s) / (s - 1) + 0.5 * w ** (-s)
-    wpow = w ** (-s - 1)
+    wpow = _power(w, s)  # w^(-s); w^(1-s) and w^(-s-1) differ by a factor w
+    acc += w * wpow / (s - 1) + 0.5 * wpow
+    wpow /= w
     w2 = w * w
     rising = complex(s)  # (s)_{2j-1} tracked incrementally
     for j, coef in enumerate(coefs, start=1):
@@ -266,7 +286,7 @@ def _taylor_grid(t: float, q: int, centres: int) -> tuple[np.ndarray, float]:
     rounding = float(terms.sum(axis=0).max())
 
     a = np.arange(1, q + 1)
-    vals = (a / q) ** (-s)
+    vals = _power(a / q, s)
     k = a * centres // q
     np.minimum(k, centres - 1, out=k)
     # (1 + a/q) - c_k over an exact integer numerator, rounded once; the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -55,6 +56,36 @@ def twisted_sum_oracle(a: FiniteSequence, chi: DirichletCharacter) -> complex:
     read from its value table instead of a dlog gather."""
     idx = np.arange(a.support_start, a.support_end + 1) % chi.modulus.q
     return complex(np.sum(a.as_array() * chi.value_table()[idx]))
+
+
+def char_sum_S_oracle(
+    chi: DirichletCharacter, h: int, j: int, freqs: Sequence[int]
+) -> list[complex]:
+    """sum over alpha mod q of chi(alpha + h*q0) conj(chi(alpha)) e_q(alpha n)
+    for one shift h, one frequency at a time, each forming its own phase
+    vector."""
+    q = chi.modulus.q
+    q0 = chi.modulus.p**j
+    table = chi.value_table()
+    alpha = np.arange(q)
+    w = table[(alpha + h * q0) % q] * np.conj(table)
+    return [
+        complex(np.sum(w * np.exp((2j * np.pi * (n % q) / q) * alpha)))
+        for n in freqs
+    ]
+
+
+def coset_exponents_oracle(spec: CosetSpec) -> list:
+    """Exponents of the coset's members, parity-filtered, ascending: the
+    base exponent plus every multiple of p^(k-j) below the subgroup order,
+    reduced mod phi and sorted."""
+    m = spec.base.modulus
+    step = m.p ** (m.k - spec.j)
+    want = {"all": (0, 1), "even": (0,), "odd": (1,)}[spec.parity]
+    exponents = sorted(
+        (spec.base.c + i * step) % m.phi for i in range(spec.subgroup_order)
+    )
+    return [c for c in exponents if c % 2 in want]
 
 
 def coset_mean_square(a: FiniteSequence, chi: DirichletCharacter, j: int) -> float:

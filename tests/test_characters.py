@@ -9,9 +9,11 @@ from cosetlfun.characters import (
     CosetSpec,
     DirichletCharacter,
     character_with_ell,
+    coset_exponents,
     enumerate_coset,
     phi_prime_power,
     postnikov_ell,
+    primitive_exponents,
 )
 from cosetlfun.errors import (
     DegenerateConductor,
@@ -20,6 +22,7 @@ from cosetlfun.errors import (
     PreconditionViolated,
 )
 from cosetlfun.modular import modulus, root_of_unity
+from oracles import coset_exponents_oracle
 
 
 def brute_conductor(chi: DirichletCharacter) -> int:
@@ -257,6 +260,19 @@ class TestCosets:
         m = modulus(5, 2)
         members = enumerate_coset(CosetSpec(DirichletCharacter(m, 1), 2))
         assert len(members) == m.phi
+
+    @given(
+        pk=st.sampled_from([(3, 1), (3, 2), (3, 4), (5, 3), (7, 2), (11, 2)]),
+        c=st.integers(1, 10**6),
+    )
+    def test_exponents_match_sorted_generator(self, pk, c):
+        m = modulus(*pk)
+        exponents = primitive_exponents(m)
+        base = DirichletCharacter(m, exponents[c % len(exponents)])
+        for j in range(m.k + 1):
+            for parity in ("all", "even", "odd"):
+                spec = CosetSpec(base, j, parity)
+                assert coset_exponents(spec) == coset_exponents_oracle(spec)
 
     def test_rejects_bad_level(self):
         base = DirichletCharacter(modulus(3, 3), 1)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
 from cosetlfun.errors import PreconditionViolated, QuadratureTooCoarse
@@ -17,6 +19,7 @@ from cosetlfun.hybrid import (
 )
 from cosetlfun.lcentral import l_value
 from cosetlfun.modular import modulus
+from oracles import char_sum_S_oracle
 
 
 def brute_S(chi, h, j, n):
@@ -39,7 +42,7 @@ class TestCharSumS:
         for h in (-2, 0, 1, 3):
             for j in (0, 1, 2):
                 freqs = (-4, 0, 1, 9, 13)
-                for n, got in zip(freqs, char_sum_S(chi, h, j, freqs)):
+                for n, got in zip(freqs, char_sum_S(chi, [h], j, freqs)[0]):
                     want = brute_S(chi, h, j, n)
                     assert abs(got - want) < 1e-10, (h, j, n)
 
@@ -47,18 +50,18 @@ class TestCharSumS:
         # h = 0, n = 0: the sum counts units
         m = modulus(5, 2)
         chi = DirichletCharacter(m, 3)
-        assert char_sum_S(chi, 0, 1, [0])[0] == pytest.approx(m.phi)
+        assert char_sum_S(chi, [0], 1, [0])[0][0] == pytest.approx(m.phi)
 
     def test_ramanujan_collapse(self):
         # h = 0, unit n, k >= 2: sum over units of e_q(alpha n) vanishes
         m = modulus(3, 3)
         chi = DirichletCharacter(m, 1)
-        for s in char_sum_S(chi, 0, 1, (1, 2, 5)):
+        for s in char_sum_S(chi, [0], 1, (1, 2, 5))[0]:
             assert abs(s) < 1e-10
         # k = 1 instead gives the -1 of the Moebius function
         m1 = modulus(7, 1)
         chi1 = DirichletCharacter(m1, 2)
-        assert char_sum_S(chi1, 0, 0, [3])[0] == pytest.approx(-1.0, abs=1e-10)
+        assert char_sum_S(chi1, [0], 0, [3])[0][0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_structural_zero_off_multiples_of_q0(self):
         # the weight depends on alpha only mod q/q0, so S = 0 unless q0 | n
@@ -66,49 +69,68 @@ class TestCharSumS:
         chi = DirichletCharacter(m, 1)
         for j in (1, 2):
             q0 = 3**j
-            for n, s in enumerate(char_sum_S(chi, 2, j, range(1, 30)), 1):
+            for n, s in enumerate(char_sum_S(chi, [2], j, range(1, 30))[0], 1):
                 if n % q0 != 0:
                     assert abs(s) < 1e-9, (j, n)
 
     def test_massive_cells_exist_on_multiples(self):
         m = modulus(3, 5)
         chi = DirichletCharacter(m, 1)
-        assert abs(char_sum_S(chi, 1, 1, [3])[0]) > 1.0
+        assert abs(char_sum_S(chi, [1], 1, [3])[0][0]) > 1.0
 
     def test_periodicity_in_n(self):
         m = modulus(3, 4)
         chi = DirichletCharacter(m, 1)
         for n in (1, 5, 27):
-            a = char_sum_S(chi, 1, 2, [n])[0]
-            b = char_sum_S(chi, 1, 2, [n + m.q])[0]
+            a = char_sum_S(chi, [1], 2, [n])[0][0]
+            b = char_sum_S(chi, [1], 2, [n + m.q])[0][0]
             assert a == b  # n is reduced mod q before any float math
 
     def test_conjugate_character_reflects_frequency(self):
         m = modulus(5, 3)
         chi = DirichletCharacter(m, 7)
         for h, n in ((1, 5), (2, 10), (3, 0)):
-            lhs = char_sum_S(chi.conjugate(), h, 1, [n])[0]
-            rhs = complex(char_sum_S(chi, h, 1, [-n])[0]).conjugate()
+            lhs = char_sum_S(chi.conjugate(), [h], 1, [n])[0][0]
+            rhs = complex(char_sum_S(chi, [h], 1, [-n])[0][0]).conjugate()
             assert abs(lhs - rhs) < 1e-10
 
     def test_level_bounds(self):
         m = modulus(3, 3)
         chi = DirichletCharacter(m, 1)
         with pytest.raises(PreconditionViolated):
-            char_sum_S(chi, 1, 4, [1])
+            char_sum_S(chi, [1], 4, [1])
         with pytest.raises(PreconditionViolated):
-            char_sum_S(chi, 1, -1, [1])
+            char_sum_S(chi, [1], -1, [1])
 
-    def test_lemma9_scan_calls_once_per_shift(self, monkeypatch):
+    def test_lemma9_scan_calls_once_per_scan(self, monkeypatch):
         calls = []
 
-        def counting(chi, h, j, freqs):
-            calls.append(h)
-            return char_sum_S(chi, h, j, freqs)
+        def counting(chi, hs, j, freqs):
+            calls.append(list(hs))
+            return char_sum_S(chi, hs, j, freqs)
 
         monkeypatch.setattr(hybrid_module, "char_sum_S", counting)
         lemma9_scan(modulus(3, 4), 1, 4, 3)
-        assert sorted(calls) == [-4, -3, -2, -1, 1, 2, 3, 4]
+        assert calls == [[1, -1, 2, -2, 3, -3, 4, -4]]
+
+    @given(
+        pk=st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]),
+        c=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    def test_rows_match_per_shift_oracle_bitwise(self, pk, c, data):
+        m = modulus(*pk)
+        q = m.q
+        chi = DirichletCharacter(m, c)
+        j = data.draw(st.integers(0, m.k))
+        hs = data.draw(st.lists(st.integers(-2 * q, 2 * q), max_size=6))
+        freqs = data.draw(st.lists(st.integers(-2 * q, 2 * q), max_size=8))
+        freqs += [0, q, -q]
+        got = char_sum_S(chi, hs, j, freqs)
+        assert got.shape == (len(hs), len(freqs))
+        for row, h in zip(got, hs):
+            want = np.array(char_sum_S_oracle(chi, h, j, freqs))
+            np.testing.assert_array_equal(row.view(np.float64), want.view(np.float64))
 
 
 class TestScanGrid:
