@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModulus, NotPrimitive, PreconditionViolated
-from .modular import PrimePowerModulus, mod_inverse, root_of_unity
+from .modular import PrimePowerModulus, mod_inverse, reduce_mod, root_of_unity
 
 
 def phi_prime_power(p: int, j: int) -> int:
@@ -30,6 +30,14 @@ def primitive_exponents(m: PrimePowerModulus) -> list:
 def even_primitive_exponents(m: PrimePowerModulus) -> list:
     """Exponents c of the even primitive characters mod m, ascending."""
     return [c for c in range(2, m.phi, 2) if c % m.p != 0]
+
+
+def generator_row(m: PrimePowerModulus, c: int) -> np.ndarray:
+    """chi_c(g^i) = e(ci/phi) for i in [0, phi), a fresh array; c in [0, phi)
+    keeps every angle c*i below phi^2 < 2^62, reduced exactly in int64."""
+    idx = np.arange(m.phi)
+    idx *= c
+    return m.phi_roots.take(reduce_mod(idx, m.phi))
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class DirichletCharacter:
         """chi(n) for n = 0..q-1 as a complex array, zero off the units."""
         m = self.modulus
         out = np.zeros(m.q, dtype=np.complex128)
-        out[m.powers] = m.phi_roots[self.c * np.arange(m.phi) % m.phi]
+        out[m.powers] = generator_row(m, self.c)
         return out
 
     def to_dict(self) -> dict:

@@ -247,7 +247,7 @@ def cmd_shift_identity(args: argparse.Namespace, res: RunResult) -> None:
     rng = np.random.default_rng(args.seed)
     for p, k in itertools.product(args.p, args.k):
         m = modulus(p, k)
-        exponents = primitive_exponents(m)
+        exponents = np.array(primitive_exponents(m), dtype=np.int64)
         for j in args.j or range(0, k + 1):
             for i in range(args.trials):
                 c = int(rng.choice(exponents))

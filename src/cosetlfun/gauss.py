@@ -21,6 +21,7 @@ from .characters import (
     DirichletCharacter,
     character_with_ell,
     enumerate_coset,
+    generator_row,
     phi_prime_power,
     postnikov_ell,
 )
@@ -36,6 +37,7 @@ from .modular import (
     epsilon_q,
     jacobi_symbol,
     mod_inverse,
+    reduce_mod,
     root_of_unity,
 )
 
@@ -49,6 +51,19 @@ class GaussSumResult:
     q: int
 
 
+def _additive_row(m: PrimePowerModulus, n: int) -> np.ndarray:
+    """e_q(n g^i) for i in [0, phi): for a unit n = g^d, n g^i = g^(i+d), so
+    the modulus's `power_roots` rotated by d (itself when d = 0, a copy
+    otherwise); for p | n, gathered from q_roots at n g^i mod q."""
+    n %= m.q
+    d = int(m.dlog[n])
+    if d == 0:
+        return m.power_roots
+    if d > 0:
+        return np.roll(m.power_roots, -d)
+    return m.q_roots[reduce_mod(m.powers * n, m.q)]
+
+
 def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
     """Direct sum of chi(t) e_q(n t) over units t mod q, taken in generator
     order t = g^i as sum_i e(ci/phi) e_q(n g^i).
@@ -56,17 +71,8 @@ def gauss_sum_brute(chi: DirichletCharacter, n: int = 1) -> complex:
     Angles are reduced exactly in integers before the table lookup, so every
     term is a correctly rounded root of unity.
     """
-    m = chi.modulus
-    # one index array, reused in place for both angles: fresh phi-length
-    # temporaries per call make the time depend on how the allocator trims
-    # and regrows the heap
-    idx = np.arange(m.phi)
-    idx *= chi.c
-    idx %= m.phi
-    terms = m.phi_roots[idx]
-    np.multiply(m.powers, n % m.q, out=idx)
-    idx %= m.q
-    terms *= m.q_roots[idx]
+    terms = generator_row(chi.modulus, chi.c)
+    terms *= _additive_row(chi.modulus, n)
     return complex(terms.sum())
 
 
@@ -79,7 +85,7 @@ def gauss_sums(m: PrimePowerModulus, n: int = 1) -> np.ndarray:
     exactly reduced table root of unity, as in `gauss_sum_brute`; the only
     new rounding is the FFT's.
     """
-    return np.fft.ifft(m.q_roots[n % m.q * m.powers % m.q]) * m.phi
+    return np.fft.ifft(_additive_row(m, n)) * m.phi
 
 
 def gauss_sum_odoni(

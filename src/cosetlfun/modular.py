@@ -135,6 +135,18 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in place and returned, for an int64 array x: x - (x // m) m.
+
+    numpy's floor division by a scalar multiplies and shifts instead of
+    dividing each element, as `np.remainder` does, so this is the faster
+    exact reduction.  Floor division makes it agree with `%` for negative x
+    too, whenever the quotient times m fits in int64.
+    """
+    x -= x // m * m
+    return x
+
+
 def _geometric_powers(g: int, n: int, q: int) -> np.ndarray:
     """g^i mod q for i in [0, n), by doubling: the block [s, 2s) is the
     block [0, s) times g^s, so log2(n) int64 products, exact for q < 2^31."""
@@ -143,7 +155,7 @@ def _geometric_powers(g: int, n: int, q: int) -> np.ndarray:
     while size < n:
         block = out[size : 2 * size]
         np.multiply(out[: block.size], pow(g, size, q), out=block)
-        np.remainder(block, q, out=block)
+        reduce_mod(block, q)
         size *= 2
     out.setflags(write=False)
     return out
@@ -154,7 +166,7 @@ class PrimePowerModulus:
 
     `powers` (g^i mod q, i < phi) and its inverse `dlog` (the index of each
     residue, -1 off the units) are built eagerly: O(q) memory, refused before
-    allocation when they and the two root tables would exceed the physical
+    allocation when they and the three root tables would exceed the physical
     memory.
     """
 
@@ -169,8 +181,9 @@ class PrimePowerModulus:
             raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
         q = p**k
         phi = p ** (k - 1) * (p - 1)
-        # dlog 8q and powers 8 phi (int64), q_roots 16q and phi_roots 16 phi
-        table_bytes = 24 * (q + phi)
+        # dlog 8q and powers 8 phi (int64); q_roots 16q, phi_roots 16 phi
+        # and power_roots 16 phi (complex128)
+        table_bytes = 24 * q + 40 * phi
         if table_bytes > _physical_memory():
             raise InvalidModulus(
                 f"the unit tables mod {p}^{k} need {table_bytes} bytes, "
@@ -220,6 +233,15 @@ class PrimePowerModulus:
     def q_roots(self) -> np.ndarray:
         """Table of e(j/q) for j in [0, q)."""
         return np.exp(2j * np.pi * np.arange(self.q) / self.q)
+
+    @cached_property
+    def power_roots(self) -> np.ndarray:
+        """e_q(g^i) for i in [0, phi), read-only: the additive character on
+        the units in generator order.  For a unit n = g^d, e_q(n g^i) is
+        entry (i + d) mod phi."""
+        row = self.q_roots[self.powers]
+        row.setflags(write=False)
+        return row
 
     @cached_property
     def one_unit_logs(self) -> tuple[int, int]:

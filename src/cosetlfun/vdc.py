@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import CosetSpec, DirichletCharacter, coset_exponents, phi_prime_power
 from .errors import BadShiftBound, PreconditionViolated
-from .modular import PrimePowerModulus
+from .modular import PrimePowerModulus, reduce_mod
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,14 @@ def _symmetric_shift_sum(arr: np.ndarray, weights: list) -> float:
 
     C(-h) = conj(C(h)), so the h and -h terms sum to 2*Re(weight * C(h)).
     """
-    # C(h) for h = 0 .. n-1; np.correlate conjugates its second argument
-    corr = np.correlate(arr, arr, "full")[arr.size - 1 :]
-    total = weights[0] * corr[0].real
+    # Re C(h) for h = 0 .. n-1 as Python floats (indexing numpy scalars in
+    # the loop costs more than the sum); np.correlate conjugates its second
+    # argument
+    corr = np.correlate(arr, arr, "full")[arr.size - 1 :].real.tolist()
+    total = weights[0] * corr[0]
     # C(h) = 0 for h >= n, and adding those zeros leaves total unchanged
     for h in range(1, min(len(weights), arr.size)):
-        total += 2.0 * weights[h] * corr[h].real
+        total += 2.0 * weights[h] * corr[h]
     return total
 
 
@@ -120,7 +122,7 @@ def _character_rows(m: PrimePowerModulus, d: np.ndarray, cs: np.ndarray) -> np.n
     """chi_c(n) for each exponent c in cs (rows) and each n (columns) with
     dlog d; angles are reduced exactly in int64, so every entry is a table
     root of unity, and entries off the units are 0."""
-    rows = m.phi_roots[cs[:, None] * d % m.phi]
+    rows = m.phi_roots.take(reduce_mod(cs[:, None] * d, m.phi))
     rows[:, d < 0] = 0
     return rows
 

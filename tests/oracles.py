@@ -22,7 +22,13 @@ from cosetlfun.errors import (
     SharedFactor,
 )
 from cosetlfun.lcentral import _em_hurwitz
-from cosetlfun.modular import epsilon_q, jacobi_symbol, mod_inverse, root_of_unity
+from cosetlfun.modular import (
+    PrimePowerModulus,
+    epsilon_q,
+    jacobi_symbol,
+    mod_inverse,
+    root_of_unity,
+)
 from cosetlfun.vdc import FiniteSequence
 
 
@@ -49,6 +55,43 @@ def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
         # vdot conjugates its first argument
         return complex(np.vdot(arr[: n - h], arr[h:]))
     return complex(np.vdot(arr[-h:], arr[: n + h]))
+
+
+def additive_row_oracle(m: PrimePowerModulus, n: int) -> np.ndarray:
+    """e_q(n g^i) for i in [0, phi), gathered from q_roots at n g^i mod q, the
+    angle reduced by `%`: the product route for every n, units included."""
+    return m.q_roots[n % m.q * m.powers % m.q]
+
+
+def generator_row_oracle(m: PrimePowerModulus, c: int) -> np.ndarray:
+    """e(ci/phi) for i in [0, phi), the angle reduced by `%`."""
+    return m.phi_roots[c * np.arange(m.phi) % m.phi]
+
+
+def gauss_sum_oracle(chi: DirichletCharacter, n: int = 1) -> complex:
+    """sum_i e(ci/phi) e_q(n g^i), both rows gathered with `%`-reduced
+    angles and multiplied elementwise, then summed in generator order."""
+    m = chi.modulus
+    return complex((generator_row_oracle(m, chi.c) * additive_row_oracle(m, n)).sum())
+
+
+def value_table_oracle(chi: DirichletCharacter) -> np.ndarray:
+    """chi(n) for n = 0..q-1, zero off the units: e(ci/phi) scattered onto
+    g^i, the angle reduced by `%`."""
+    m = chi.modulus
+    out = np.zeros(m.q, dtype=np.complex128)
+    out[m.powers] = generator_row_oracle(m, chi.c)
+    return out
+
+
+def character_rows_oracle(
+    m: PrimePowerModulus, d: np.ndarray, cs: np.ndarray
+) -> np.ndarray:
+    """chi_c(n) for each exponent c in cs (rows) and each dlog d (columns),
+    the angles reduced by `%`, 0 where d < 0."""
+    rows = m.phi_roots[cs[:, None] * d % m.phi]
+    rows[:, d < 0] = 0
+    return rows
 
 
 def twisted_sum_oracle(a: FiniteSequence, chi: DirichletCharacter) -> complex:

@@ -22,7 +22,7 @@ from cosetlfun.errors import (
     PreconditionViolated,
 )
 from cosetlfun.modular import modulus, root_of_unity
-from oracles import coset_exponents_oracle
+from oracles import coset_exponents_oracle, value_table_oracle
 
 
 def brute_conductor(chi: DirichletCharacter) -> int:
@@ -145,6 +145,27 @@ class TestCharacterBasics:
             )
             got = DirichletCharacter(m, c).value_table()
             np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
+    @pytest.mark.parametrize(
+        "p, k", [(3, 1), (3, 4), (5, 1), (5, 3), (7, 2), (11, 2)]
+    )
+    def test_value_table_matches_oracle_every_c(self, p, k):
+        m = modulus(p, k)
+        for c in range(-m.phi, m.phi):
+            chi = DirichletCharacter(m, c)
+            want = value_table_oracle(chi)
+            got = chi.value_table()
+            np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
+    @given(
+        pk=st.sampled_from([(3, 2), (3, 5), (5, 2), (7, 3), (13, 2)]),
+        c=st.integers(-(10**12), 10**12),
+    )
+    def test_value_table_matches_oracle_any_c(self, pk, c):
+        chi = DirichletCharacter(modulus(*pk), c)
+        want = value_table_oracle(chi)
+        got = chi.value_table()
+        np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_to_dict(self):
         chi = DirichletCharacter(modulus(3, 4), 7)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_unit_sum
 from cosetlfun.characters import (
@@ -34,7 +36,14 @@ from cosetlfun.gauss import (
 )
 from cosetlfun.modular import modulus, sample_units
 from cosetlfun.report import rel_err
-from oracles import quadratic_gauss_closed
+from oracles import additive_row_oracle, gauss_sum_oracle, quadratic_gauss_closed
+
+# q in {3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121}
+ORACLE_MODULI = [(p, k) for p in (3, 5, 7, 11) for k in range(1, 5) if p**k < 128]
+
+
+def same_bits(a: complex, b: complex) -> bool:
+    return np.complex128(a).tobytes() == np.complex128(b).tobytes()
 
 
 class TestGaussSumBrute:
@@ -87,7 +96,37 @@ class TestGaussSumBrute:
         assert abs(got - want) < 1e-12
 
 
+class TestGaussSumBruteOracle:
+    # the rotated per-modulus row for units and the reduced product row for
+    # p | n read the same table roots as the `%` product route, in the same
+    # order, so the sums agree bit for bit
+    @pytest.mark.parametrize("p, k", ORACLE_MODULI)
+    def test_every_c_and_twist(self, p, k):
+        m = modulus(p, k)
+        for n in (0, 1, 2, p, 2 * p, -1, m.q - 1, m.q + 3):
+            for c in range(m.phi):
+                chi = DirichletCharacter(m, c)
+                got, want = gauss_sum_brute(chi, n), gauss_sum_oracle(chi, n)
+                assert same_bits(got, want), (c, n)
+
+    @given(
+        pk=st.sampled_from(ORACLE_MODULI + [(3, 9), (5, 6)]),
+        c=st.integers(-(10**9), 10**9),
+        n=st.integers(-(10**12), 10**12),
+    )
+    def test_any_c_and_twist(self, pk, c, n):
+        chi = DirichletCharacter(modulus(*pk), c)
+        assert same_bits(gauss_sum_brute(chi, n), gauss_sum_oracle(chi, n))
+
+
 class TestGaussSumsFFT:
+    @pytest.mark.parametrize("p, k", ORACLE_MODULI)
+    def test_transform_input_matches_product_route(self, p, k):
+        m = modulus(p, k)
+        for n in (0, 1, 2, p, 2 * p, -1, m.q - 1, m.q + 3):
+            want = np.fft.ifft(additive_row_oracle(m, n)) * m.phi
+            np.testing.assert_array_equal(gauss_sums(m, n), want)
+
     @pytest.mark.parametrize(
         "p,k", [(3, 1), (3, 2), (3, 5), (5, 3), (7, 2), (11, 2), (5, 6)]
     )

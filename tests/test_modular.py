@@ -19,6 +19,7 @@ from cosetlfun.modular import (
     mod_inverse,
     modulus,
     padic_log,
+    reduce_mod,
     root_of_unity,
     signed_lift,
 )
@@ -170,6 +171,33 @@ class TestRootOfUnity:
         assert abs(z - 1) > 0.5
 
 
+class TestReduceMod:
+    @given(
+        st.lists(st.integers(0, 2**62 - 1), min_size=1, max_size=50),
+        st.integers(1, 2**31),
+    )
+    def test_matches_remainder(self, xs, mod):
+        x = np.array(xs, dtype=np.int64)
+        want = x % mod
+        got = reduce_mod(x, mod)
+        assert got is x  # reduced in place
+        np.testing.assert_array_equal(got, want)
+
+    @given(
+        st.lists(st.integers(-(2**62), 2**62 - 1), min_size=1, max_size=50),
+        st.integers(1, 2**31),
+    )
+    def test_floor_convention_for_negatives(self, xs, mod):
+        x = np.array(xs, dtype=np.int64)
+        np.testing.assert_array_equal(reduce_mod(x.copy(), mod), x % mod)
+
+    def test_reduces_a_view_in_place(self):
+        x = np.arange(20, dtype=np.int64) * 7
+        reduce_mod(x[5:15], 9)
+        np.testing.assert_array_equal(x[5:15], np.arange(5, 15) * 7 % 9)
+        np.testing.assert_array_equal(x[:5], np.arange(5) * 7)
+
+
 class TestDivisorCount:
     def test_brute(self):
         for n in range(1, 500):
@@ -247,6 +275,20 @@ class TestPrimePowerModulus:
         j = 11
         assert abs(m.q_roots[j] - cmath.exp(2j * cmath.pi * j / 49)) < 1e-15
 
+    @pytest.mark.parametrize("p, k", [(3, 1), (3, 11), (5, 6), (7, 4), (13, 2)])
+    def test_power_roots(self, p, k):
+        # e_q(g^i), bit for bit the q_roots entry at g^i, and the rotation
+        # by dlog n is e_q(n g^i) for every unit n
+        m = modulus(p, k)
+        row = m.power_roots
+        assert not row.flags.writeable
+        np.testing.assert_array_equal(row, m.q_roots[m.powers])
+        for n in (1, 2, m.q - 1, m.generator):
+            d = m.index_of(n)
+            np.testing.assert_array_equal(
+                np.roll(row, -d), m.q_roots[n * m.powers % m.q]
+            )
+
     def test_factory_caches(self):
         assert modulus(3, 4) is modulus(3, 4)
         assert modulus(3, 4) == PrimePowerModulus(3, 4)
@@ -256,19 +298,19 @@ class TestPrimePowerModulus:
         assert MAX_MODULUS == 2**31
 
     def test_rejects_table_larger_than_memory(self, monkeypatch):
-        # 3^7: dlog 8q, powers 8 phi, q_roots 16q and phi_roots 16 phi make
-        # 24 * (2187 + 1458) = 87480 bytes
-        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 87479)
-        with pytest.raises(InvalidModulus, match="87480 bytes"):
+        # 3^7: dlog 8q, powers 8 phi, q_roots 16q, phi_roots 16 phi and
+        # power_roots 16 phi make 24 * 2187 + 40 * 1458 = 110808 bytes
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 110807)
+        with pytest.raises(InvalidModulus, match="110808 bytes"):
             PrimePowerModulus(3, 7)
-        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 87480)
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 110808)
         assert PrimePowerModulus(3, 7).q == 2187
 
     def test_refuses_3_18_before_allocating(self, monkeypatch):
-        # 24 * (3^18 + phi) is about 15.5e9 bytes; an 8 GiB host refuses it
-        # before any table exists, so the refusal is immediate
+        # 24 * 3^18 + 40 * phi is about 19.6e9 bytes; an 8 GiB host refuses
+        # it before any table exists, so the refusal is immediate
         monkeypatch.setattr(modular_module, "_physical_memory", lambda: 8 * 2**30)
-        with pytest.raises(InvalidModulus, match="15496819560 bytes"):
+        with pytest.raises(InvalidModulus, match="19629304776 bytes"):
             PrimePowerModulus(3, 18)
 
     def test_physical_memory_is_positive(self):

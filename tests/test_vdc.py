@@ -24,6 +24,7 @@ from cosetlfun.vdc import (
     vdc_inequality_check,
 )
 from oracles import (
+    character_rows_oracle,
     coset_mean_square,
     dirichlet_kernel,
     shifted_autocorrelation,
@@ -242,7 +243,26 @@ def sequence_on_small_modulus(draw):
     return m, FiniteSequence(draw(st.integers(-30, 30)), tuple(coeffs))
 
 
+@st.composite
+def dlogs_and_exponents(draw):
+    """A modulus, dlogs in [-1, phi) (-1 for a non-unit) and exponents in
+    [0, phi)."""
+    p, k = draw(st.sampled_from([(3, 1), (3, 4), (5, 3), (7, 2), (3, 11)]))
+    m = modulus(p, k)
+    ints = st.lists(st.integers(-1, m.phi - 1), min_size=1, max_size=30)
+    d = np.array(draw(ints), dtype=np.int64)
+    cs = np.array(draw(ints), dtype=np.int64).clip(0)
+    return m, d, cs
+
+
 class TestBatchedTwistedSum:
+    @given(dlogs_and_exponents())
+    def test_character_rows_match_remainder_route(self, case):
+        m, d, cs = case
+        got = vdc._character_rows(m, d, cs)
+        want = character_rows_oracle(m, d, cs)
+        np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+
     # one row per exponent against the one-character-at-a-time oracle; the
     # terms agree bit for bit, so the rows differ only by summation order
     @given(sequence_on_small_modulus())
