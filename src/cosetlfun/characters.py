@@ -33,10 +33,11 @@ def even_primitive_exponents(m: PrimePowerModulus) -> list:
 
 
 def generator_row(m: PrimePowerModulus, c: int) -> np.ndarray:
-    """chi_c(g^i) = e(ci/phi) for i in [0, phi), a fresh array; c in [0, phi)
-    keeps every angle c*i below phi^2 < 2^62, reduced exactly in int64."""
+    """chi_c(g^i) = e(ci/phi) for i in [0, phi), a fresh array; c is taken
+    mod phi first, so every angle c*i stays below phi^2 < 2^62 and is
+    reduced exactly in int64."""
     idx = np.arange(m.phi)
-    idx *= c
+    idx *= c % m.phi
     return m.phi_roots.take(reduce_mod(idx, m.phi))
 
 

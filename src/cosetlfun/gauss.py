@@ -52,15 +52,11 @@ class GaussSumResult:
 
 
 def _additive_row(m: PrimePowerModulus, n: int) -> np.ndarray:
-    """e_q(n g^i) for i in [0, phi): for a unit n = g^d, n g^i = g^(i+d), so
-    the modulus's `power_roots` rotated by d (itself when d = 0, a copy
-    otherwise); for p | n, gathered from q_roots at n g^i mod q."""
+    """e_q(n g^i) for i in [0, phi): the modulus's `power_roots` when
+    n = 1, otherwise gathered from q_roots at n g^i mod q."""
     n %= m.q
-    d = int(m.dlog[n])
-    if d == 0:
+    if n == 1:
         return m.power_roots
-    if d > 0:
-        return np.roll(m.power_roots, -d)
     return m.q_roots[reduce_mod(m.powers * n, m.q)]
 
 

@@ -237,8 +237,7 @@ class PrimePowerModulus:
     @cached_property
     def power_roots(self) -> np.ndarray:
         """e_q(g^i) for i in [0, phi), read-only: the additive character on
-        the units in generator order.  For a unit n = g^d, e_q(n g^i) is
-        entry (i + d) mod phi."""
+        the units in generator order."""
         row = self.q_roots[self.powers]
         row.setflags(write=False)
         return row
