@@ -15,11 +15,7 @@ import numpy as np
 
 from .errors import InvalidModulus, NotPrimitive, PreconditionViolated
 from .modular import PrimePowerModulus, mod_inverse, reduce_mod, root_of_unity
-
-
-def phi_prime_power(p: int, j: int) -> int:
-    """Euler phi of p^j, with phi(1) = 1."""
-    return p ** (j - 1) * (p - 1) if j >= 1 else 1
+from .modular import phi_prime_power  # noqa: F401 (re-exported)
 
 
 def primitive_exponents(m: PrimePowerModulus) -> list:
@@ -99,9 +95,6 @@ class DirichletCharacter:
         out[m.powers] = generator_row(m, self.c)
         return out
 
-    def to_dict(self) -> dict:
-        return {"p": self.modulus.p, "k": self.modulus.k, "c": self.c}
-
 
 def postnikov_ell(chi: DirichletCharacter) -> int:
     """Logarithm parameter ell in Z/p^(k-1) with chi(1+px) = e_q(ell*log(1+px)).
@@ -156,14 +149,6 @@ class CosetSpec:
             raise PreconditionViolated(f"unknown parity filter {self.parity!r}")
         if not self.base.is_primitive:
             raise NotPrimitive("coset base must be primitive")
-
-    @property
-    def subgroup_modulus(self) -> int:
-        return self.base.modulus.p**self.j
-
-    @property
-    def subgroup_order(self) -> int:
-        return phi_prime_power(self.base.modulus.p, self.j)
 
 
 def coset_exponents(spec: CosetSpec) -> list:

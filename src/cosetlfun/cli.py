@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,7 +38,7 @@ from .gauss import (
     near_one_root_number_check,
 )
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
-from .modular import modulus, sample_units
+from .modular import PrimePowerModulus, modulus, sample_units
 from .moments import moment_report, recipe_params
 from .report import rel_err, render_rows
 from .vdc import (
@@ -52,12 +53,20 @@ from .vdc import (
 @dataclass
 class RunResult:
     """Rows and check outcomes of one run.  The driver creates it with the
-    subcommand's row keys and adds the tolerance failures."""
+    subcommand's row keys and seed and adds the tolerance failures."""
 
     keys: list
+    seed: int = 0
     rows: list = field(default_factory=list)
     hard_failures: list = field(default_factory=list)
     soft_warnings: list = field(default_factory=list)
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The run's seeded stream, one for the whole grid.  It is made on
+        first use, so a subcommand that draws nothing never imports
+        numpy.random (about 6 MiB and 20 ms)."""
+        return np.random.default_rng(self.seed)
 
     def add(self, *values) -> None:
         """Append a row given in report-column order; a complex value fills
@@ -78,142 +87,116 @@ def even_bases(m) -> list:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_gauss_verify(args: argparse.Namespace, res: RunResult) -> None:
+def cmd_gauss_verify(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Closed-form Gauss sums against the direct character sum, all primitive
     chi.  The brute_* columns hold that sum, evaluated for every chi of a
     modulus at once by one FFT in generator order (`gauss_sums`)."""
-    for p, k in itertools.product(args.p, args.k):
-        m = modulus(p, k)
-        taus = gauss_sums(m)
-        for c in primitive_exponents(m):
-            brute = complex(taus[c])
-            closed = gauss_sum_odoni(DirichletCharacter(m, c)).value
-            abs_err = abs(brute - closed)
-            res.add(p, k, m.q, c, brute, closed, abs_err, abs_err / abs(closed))
+    taus = gauss_sums(m)
+    for c in primitive_exponents(m):
+        brute = complex(taus[c])
+        closed = gauss_sum_odoni(DirichletCharacter(m, c)).value
+        abs_err = abs(brute - closed)
+        res.add(m.p, m.k, m.q, c, brute, closed, abs_err, abs_err / abs(closed))
 
 
-def cmd_coset_eps(args: argparse.Namespace, res: RunResult) -> None:
+def cmd_coset_eps(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Coset averages of normalized Gauss sums: brute vs closed forms."""
-    rng = np.random.default_rng(args.seed)
-    for p, k in itertools.product(args.p, args.k):
-        if k < 2:
-            raise ConfigError(f"coset-eps needs k >= 2, got k = {k}")
-        m = modulus(p, k)
-        levels = args.j or [j for j in range(1, k) if eps_regimes(p, k, j)]
-        for j in levels:
-            regimes = eps_regimes(p, k, j)
-            if not regimes:
-                raise ConfigError(
-                    f"level j = {j} fits no average regime at (p, k) = ({p}, {k})"
-                )
-            c = int(rng.choice(even_primitive_exponents(m)))
-            spec = CosetSpec(DirichletCharacter(m, c), j, "even")
-            twists = sample_units(rng, m.q, p, args.m_samples)
-            for tw, brute in zip(twists, coset_epsilon_average(spec, twists)):
-                for regime in regimes:
-                    closed = coset_epsilon_average_closed(spec, tw, regime)
-                    res.add(p, k, j, regime, c, tw, brute, closed, abs(brute - closed))
-
-
-def cmd_ratio(args: argparse.Namespace, res: RunResult) -> None:
-    """Gauss-sum ratios along a coset against the character-value formula."""
-    rng = np.random.default_rng(args.seed)
-    for p, k in itertools.product(args.p, args.k):
-        m = modulus(p, k)
-        # enumerate pairs whose ratio conductor divides p^floor(k/2): on that
-        # window the collapsed formula holds for every k; at the ceil boundary
-        # an odd k picks up an extra p-th root of unity (see the ratio tests)
-        step = p ** (k - k // 2)
-        twists = sample_units(rng, m.q, p, args.m_samples)
-        for c1 in primitive_exponents(m):
-            chi1 = DirichletCharacter(m, c1)
-            for d in range(0, m.phi, step):
-                c2 = (c1 - d) % m.phi
-                if c2 % p == 0 or c2 == 0:
-                    continue
-                chi2 = DirichletCharacter(m, c2)
-                for tw in twists:
-                    brute, closed = gauss_ratio_check(chi1, chi2, tw)
-                    res.add(m.q, c1, c2, tw, brute, closed, rel_err(brute, closed))
-
-
-def cmd_near_one(args: argparse.Namespace, res: RunResult) -> None:
-    """Cosets pinned near the trivial logarithm parameter: fixed root number."""
-    for p, k in itertools.product(args.p, args.k):
-        m = modulus(p, k)
-        for psi, brute, closed in near_one_root_number_check(m):
-            res.add(m.q, f"q={m.q} c={psi.c}", brute, closed, rel_err(brute, closed))
-
-
-def cmd_moment(args: argparse.Namespace, res: RunResult) -> None:
-    """Empirical coset second moments against the predicted main terms."""
-    if not args.j:
-        raise ConfigError("moment needs an explicit --j grid")
-    for p, k in itertools.product(args.p, args.k):
-        for j in args.j:
-            m = modulus(p, k)
-            # a coset's report depends on its base only through chi_exponent
-            # and ell, and enumerate_coset gives every base the same sorted
-            # members, so one report per coset c mod p^(k-j) yields each
-            # base's row bit for bit
-            by_coset = {}
-            rows = []
-            for c in even_bases(m):
-                chi = DirichletCharacter(m, c)
-                key = c % p ** (k - j)
-                if key not in by_coset:
-                    by_coset[key] = moment_report(chi, j, args.retain_phase)
-                row = replace(by_coset[key], chi_exponent=c, ell=postnikov_ell(chi))
-                rows.append(row.to_dict())
-            improved = sum(
-                1 for r in rows if abs(r["residual"]) < abs(r["baseline_residual"])
+    p, k = m.p, m.k
+    for j in args.j or [j for j in range(1, k) if eps_regimes(p, k, j)]:
+        regimes = eps_regimes(p, k, j)
+        if not regimes:
+            raise ConfigError(
+                f"level j = {j} fits no average regime at (p, k) = ({p}, {k})"
             )
-            if improved < len(rows):
-                res.soft_warnings.append(
-                    f"moment q={m.q} j={j}: secondary term improves the "
-                    f"residual at {improved}/{len(rows)} characters (the "
-                    "theorem's error term dominates at desk-scale moduli)"
+        c = int(res.rng.choice(even_primitive_exponents(m)))
+        spec = CosetSpec(DirichletCharacter(m, c), j, "even")
+        twists = sample_units(res.rng, m.q, p, args.m_samples)
+        for tw, brute in zip(twists, coset_epsilon_average(spec, twists)):
+            for regime in regimes:
+                closed = coset_epsilon_average_closed(spec, tw, regime)
+                res.add(p, k, j, regime, c, tw, brute, closed, abs(brute - closed))
+
+
+def cmd_ratio(args, m: PrimePowerModulus, res: RunResult) -> None:
+    """Gauss-sum ratios along a coset against the character-value formula."""
+    # enumerate pairs whose ratio conductor divides p^floor(k/2): on that
+    # window the collapsed formula holds for every k; at the ceil boundary
+    # an odd k picks up an extra p-th root of unity (see the ratio tests)
+    step = m.p ** (m.k - m.k // 2)
+    twists = sample_units(res.rng, m.q, m.p, args.m_samples)
+    for c1 in primitive_exponents(m):
+        chi1 = DirichletCharacter(m, c1)
+        for d in range(0, m.phi, step):
+            c2 = (c1 - d) % m.phi
+            if c2 % m.p == 0 or c2 == 0:
+                continue
+            chi2 = DirichletCharacter(m, c2)
+            for tw in twists:
+                brute, closed = gauss_ratio_check(chi1, chi2, tw)
+                res.add(m.q, c1, c2, tw, brute, closed, rel_err(brute, closed))
+
+
+def cmd_near_one(args, m: PrimePowerModulus, res: RunResult) -> None:
+    """Cosets pinned near the trivial logarithm parameter: fixed root number."""
+    for psi, brute, closed in near_one_root_number_check(m):
+        res.add(m.q, f"q={m.q} c={psi.c}", brute, closed, rel_err(brute, closed))
+
+
+def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
+    """Empirical coset second moments against the predicted main terms."""
+    for j in args.j:
+        # a coset's report depends on its base only through chi_exponent
+        # and ell, and enumerate_coset gives every base the same sorted
+        # members, so one report per coset c mod p^(k-j) yields each
+        # base's row bit for bit
+        by_coset = {}
+        rows = []
+        for c in even_bases(m):
+            chi = DirichletCharacter(m, c)
+            key = c % m.p ** (m.k - j)
+            if key not in by_coset:
+                by_coset[key] = moment_report(chi, j, args.retain_phase)
+            row = replace(by_coset[key], chi_exponent=c, ell=postnikov_ell(chi))
+            rows.append(row.to_dict())
+        improved = sum(
+            1 for r in rows if abs(r["residual"]) < abs(r["baseline_residual"])
+        )
+        if improved < len(rows):
+            res.soft_warnings.append(
+                f"moment q={m.q} j={j}: secondary term improves the "
+                f"residual at {improved}/{len(rows)} characters (the "
+                "theorem's error term dominates at desk-scale moduli)"
+            )
+        for r in rows:
+            if not all(
+                math.isfinite(r[key]) for key in ("empirical", "D", "A", "residual")
+            ):
+                res.hard_failures.append(
+                    f"moment q={m.q} c={r['chi_exponent']}: non-finite value"
                 )
-            for r in rows:
-                if not all(
-                    math.isfinite(r[key])
-                    for key in ("empirical", "D", "A", "residual")
-                ):
-                    res.hard_failures.append(
-                        f"moment q={m.q} c={r['chi_exponent']}: non-finite value"
-                    )
-            res.rows.extend(rows)
+        res.rows.extend(rows)
 
 
-def cmd_recipe(args: argparse.Namespace, res: RunResult) -> None:
+def cmd_recipe(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Signed minimal lifts of the logarithm parameter, with window checks."""
-    if not args.j:
-        raise ConfigError("recipe needs an explicit --j grid")
-    for p, k in itertools.product(args.p, args.k):
-        for j in args.j:
-            m = modulus(p, k)
-            for c in even_bases(m):
-                params = recipe_params(DirichletCharacter(m, c), j)
-                qkj = p ** (k - j)
-                q0 = p**j
-                ok = (
-                    (params.a_chi - params.ell) % qkj == 0
-                    and 2 * abs(params.a_chi) <= qkj
-                    and (params.b_chi - params.a_chi) % q0 == 0
-                    and 2 * abs(params.b_chi) <= q0
-                )
-                if not ok:
-                    res.hard_failures.append(
-                        f"recipe q={m.q} c={c}: lift windows violated"
-                    )
-                res.add(
-                    m.q, q0, c, params.ell, params.a_chi, params.b_chi, params.regime
-                )
+    for j in args.j:
+        qkj = m.p ** (m.k - j)
+        q0 = m.p**j
+        for c in even_bases(m):
+            params = recipe_params(DirichletCharacter(m, c), j)
+            ok = (
+                (params.a_chi - params.ell) % qkj == 0
+                and 2 * abs(params.a_chi) <= qkj
+                and (params.b_chi - params.a_chi) % q0 == 0
+                and 2 * abs(params.b_chi) <= q0
+            )
+            if not ok:
+                res.hard_failures.append(f"recipe q={m.q} c={c}: lift windows violated")
+            res.add(m.q, q0, c, params.ell, params.a_chi, params.b_chi, params.regime)
 
 
-def cmd_vdc(args: argparse.Namespace, res: RunResult) -> None:
+def cmd_vdc(args, m: None, res: RunResult) -> None:
     """Shift inequality and amplifier identity on random + adversarial runs."""
-    rng = np.random.default_rng(args.seed)
 
     def check(kind: str, idx: int, seq: FiniteSequence, H: int):
         lhs, rhs = vdc_inequality_check(seq, H)
@@ -232,9 +215,9 @@ def cmd_vdc(args: argparse.Namespace, res: RunResult) -> None:
             )
 
     for i in range(args.trials):
-        n = int(rng.integers(1, 201))
-        h = int(rng.integers(1, n + 1))
-        check("random", i, random_sequence(n, rng), h)
+        n = int(res.rng.integers(1, 201))
+        h = int(res.rng.integers(1, n + 1))
+        check("random", i, random_sequence(n, res.rng), h)
     check("all-ones", 0, FiniteSequence(1, (1 + 0j,) * 120), 12)
     check("alternating", 0, FiniteSequence(1, tuple((-1.0) ** n + 0j for n in range(121))), 9)
     spike = [0j] * 64
@@ -242,51 +225,44 @@ def cmd_vdc(args: argparse.Namespace, res: RunResult) -> None:
     check("spike", 0, FiniteSequence(1, tuple(spike)), 8)
 
 
-def cmd_shift_identity(args: argparse.Namespace, res: RunResult) -> None:
+def cmd_shift_identity(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Coset mean square vs shifted autocorrelations on random sequences."""
-    rng = np.random.default_rng(args.seed)
-    for p, k in itertools.product(args.p, args.k):
-        m = modulus(p, k)
-        exponents = np.array(primitive_exponents(m), dtype=np.int64)
-        for j in args.j or range(0, k + 1):
-            for i in range(args.trials):
-                c = int(rng.choice(exponents))
-                seq = random_sequence(50, rng)
-                lhs, rhs = coset_shift_identity(seq, DirichletCharacter(m, c), j)
-                res.add(m.q, j, i, c, lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    exponents = np.array(primitive_exponents(m), dtype=np.int64)
+    for j in args.j or range(0, m.k + 1):
+        for i in range(args.trials):
+            c = int(res.rng.choice(exponents))
+            seq = random_sequence(50, res.rng)
+            lhs, rhs = coset_shift_identity(seq, DirichletCharacter(m, c), j)
+            res.add(m.q, j, i, c, lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
 
 
-def cmd_lemma9(args: argparse.Namespace, res: RunResult) -> None:
+def cmd_lemma9(args, m: PrimePowerModulus, res: RunResult) -> None:
     """|S| mass scans against the square-root envelope (soft guard only)."""
-    for p, k in itertools.product(args.p, args.k):
-        m = modulus(p, k)
-        for j in args.j or [1]:
-            scan = lemma9_scan(m, j, args.A, args.B)
-            res.rows.extend(scan.rows)
-            if not scan.soft_guard_ok():
-                res.soft_warnings.append(
-                    f"lemma9 q={m.q} j={j}: max ratio {scan.max_ratio:.3f} "
-                    f"exceeds 3x base {scan.base_ratio:.3f}"
-                )
-
-
-def cmd_hybrid(args: argparse.Namespace, res: RunResult) -> None:
-    """Windowed coset moment quadrature against the hybrid envelope."""
-    for p, k in itertools.product(args.p, args.k):
-        m = modulus(p, k)
-        chi = DirichletCharacter(m, 1)
-        for j in args.j or [1]:
-            hq = hybrid_moment_quadrature(chi, j, args.T, args.T0, args.t_step)
-            drift = abs(hq.halved_step_lhs - hq.lhs) / max(1e-30, abs(hq.lhs))
-            res.add(
-                m.q, p**j, args.T, args.T0, args.t_step,
-                hq.lhs, hq.envelope, hq.ratio, hq.halved_step_lhs, drift,
+    for j in args.j or [1]:
+        scan = lemma9_scan(m, j, args.A, args.B)
+        res.rows.extend(scan.rows)
+        if not scan.soft_guard_ok():
+            res.soft_warnings.append(
+                f"lemma9 q={m.q} j={j}: max ratio {scan.max_ratio:.3f} "
+                f"exceeds 3x base {scan.base_ratio:.3f}"
             )
-            if drift > 0.01:
-                res.soft_warnings.append(
-                    f"hybrid q={m.q} j={j}: step-halving moved the integral "
-                    f"by {drift:.2%} (> 1%)"
-                )
+
+
+def cmd_hybrid(args, m: PrimePowerModulus, res: RunResult) -> None:
+    """Windowed coset moment quadrature against the hybrid envelope."""
+    chi = DirichletCharacter(m, 1)
+    for j in args.j or [1]:
+        hq = hybrid_moment_quadrature(chi, j, args.T, args.T0, args.t_step)
+        drift = abs(hq.halved_step_lhs - hq.lhs) / max(1e-30, abs(hq.lhs))
+        res.add(
+            m.q, m.p**j, args.T, args.T0, args.t_step,
+            hq.lhs, hq.envelope, hq.ratio, hq.halved_step_lhs, drift,
+        )
+        if drift > 0.01:
+            res.soft_warnings.append(
+                f"hybrid q={m.q} j={j}: step-halving moved the integral "
+                f"by {drift:.2%} (> 1%)"
+            )
 
 
 # ------------------------------------------------------------------ the table
@@ -315,9 +291,11 @@ GRID = ("--p", "--k")
 class Subcommand:
     """One subcommand: its handler, the report columns shown in --help, the
     noun its summary line counts, the flags it reads, and the column held to
-    the hard tolerance (none for subcommands without one) with its default."""
+    the hard tolerance (none for subcommands without one) with its default.
+    The handler is called once per modulus of the (p, k) grid, or once with
+    None when the subcommand has no grid."""
 
-    handler: Callable[[argparse.Namespace, RunResult], None]
+    handler: Callable[[argparse.Namespace, PrimePowerModulus | None, RunResult], None]
     columns: str
     noun: str
     flags: tuple = GRID
@@ -458,15 +436,23 @@ def check_args(args: argparse.Namespace) -> None:
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise ConfigError(f"output directory not writable: {parent}")
+    if args.subcommand in ("moment", "recipe") and not args.j:
+        raise ConfigError(f"{args.subcommand} needs an explicit --j grid")
+    if args.subcommand == "coset-eps" and min(args.k) < 2:
+        raise ConfigError(f"coset-eps needs k >= 2, got k = {min(args.k)}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     spec = SPECS[args.subcommand]
-    result = RunResult(spec.keys)
+    result = RunResult(spec.keys, args.seed)
     try:
         check_args(args)
-        HANDLERS[args.subcommand](args, result)
+        if GRID[0] in spec.flags:
+            for p, k in itertools.product(args.p, args.k):
+                HANDLERS[args.subcommand](args, modulus(p, k), result)
+        else:
+            HANDLERS[args.subcommand](args, None, result)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

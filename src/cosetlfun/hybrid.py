@@ -163,13 +163,15 @@ def hybrid_moment_quadrature(
         raise QuadratureTooCoarse(f"step {t_step} exceeds T0/8 = {T0 / 8}")
     if not chi.is_primitive:
         raise PreconditionViolated("hybrid window needs a primitive base")
-    members = enumerate_coset(CosetSpec(chi, j, "all"))
+    spec = CosetSpec(chi, j, "all")
     if T0 > T:
         raise PreconditionViolated("window needs T0 <= T")
     num = math.ceil(T0 / t_step - 1e-12)  # >= 8, as t_step <= T0/8
     # every sample builds one zeta grid of q points, at most as dear as the
-    # one at T + T0, so the window is refused before its samples are allocated
+    # one at T + T0, so the window is refused before its samples (or the
+    # coset's members) are allocated
     grid_route(m.q, T + T0, 2 * num + 1)
+    members = enumerate_coset(spec)
     # the even-index points are exactly np.linspace(T, T + T0, num + 1)
     ts = np.linspace(T, T + T0, 2 * num + 1)
     ys = np.array(

@@ -306,7 +306,9 @@ def _taylor_grid(t: float, q: int, centres: int) -> tuple[np.ndarray, float]:
     return vals, em_tail + remainder + rounding
 
 
-# each caller runs every character at one (q, t) before the next (q, t)
+# each caller runs every character at one (q, t) before the next (q, t), so
+# one grid is cached; a miss releases it before building the next, so two
+# q-point grids and the build's temporaries are never held at once
 @lru_cache(maxsize=1)
 def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
     """zeta(1/2 + it, a/q) for a = 1..q, the shared grid for one modulus,
@@ -315,6 +317,7 @@ def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
     Returns (values, uniform tail bound, sum of |values|), the last for
     rounding-error accounting.
     """
+    _zeta_grid.cache_clear()
     centres = grid_route(q, t)
     if centres:
         vals, bound = _taylor_grid(t, q, centres)
@@ -329,8 +332,6 @@ def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
 class LValue:
     """A central-line value with its accumulated error bound."""
 
-    chi: DirichletCharacter
-    s: complex
     value: complex
     abs_error_bound: float
 
@@ -348,7 +349,7 @@ def l_value(chi: DirichletCharacter, t: float = 0.0) -> LValue:
     scale = abs(m.q ** (-s))
     rounding = (math.log2(m.q) + 4) * 2**-52 * abs_sum
     bound = scale * (m.phi * tail + rounding)
-    return LValue(chi, s, m.q ** (-s) * total, bound)
+    return LValue(m.q ** (-s) * total, bound)
 
 
 def completed_l_value(chi: DirichletCharacter) -> complex:

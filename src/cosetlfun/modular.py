@@ -22,39 +22,20 @@ from .errors import DegenerateConductor, InvalidModulus, NotInvertible, NotOneUn
 # character tables and Gauss sums are exact
 MAX_MODULUS = 2**31
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first 12 prime bases, deterministic for n < 3.18e23."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n == b:
-            return True
-        if n % b == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by the trial division of `_factor`: up to sqrt(n)/2 steps,
+    so `PrimePowerModulus` checks its 2^31 cap first."""
+    return n >= 2 and _factor(n) == {n: 1}
 
 
-def mod_inverse(a: int, m) -> int:
-    """Inverse of a modulo m (an int or a PrimePowerModulus), in [0, m)."""
-    m = m.q if isinstance(m, PrimePowerModulus) else int(m)
+def phi_prime_power(p: int, j: int) -> int:
+    """Euler phi of p^j, with phi(1) = 1."""
+    return p ** (j - 1) * (p - 1) if j >= 1 else 1
+
+
+def mod_inverse(a: int, m: int) -> int:
+    """Inverse of a modulo m, in [0, m)."""
     if m <= 0:
         raise InvalidModulus(f"modulus must be positive, got {m}")
     try:
@@ -173,14 +154,15 @@ class PrimePowerModulus:
     def __init__(self, p: int, k: int):
         if k < 1:
             raise InvalidModulus(f"exponent must be >= 1, got {k}")
+        # p >= 3 puts p^k above the cap for every k >= 32, so a huge k is
+        # refused before p**k is formed; the cap comes before the primality
+        # test, whose trial division takes up to sqrt(p)/2 steps
+        if p >= 3 and (k >= MAX_MODULUS.bit_length() or p**k > MAX_MODULUS):
+            raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise InvalidModulus(f"{p} is not an odd prime")
-        # p >= 3 puts p^k above the cap for every k >= 32, so a huge k is
-        # refused before p**k is formed
-        if k >= MAX_MODULUS.bit_length() or p**k > MAX_MODULUS:
-            raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
         q = p**k
-        phi = p ** (k - 1) * (p - 1)
+        phi = phi_prime_power(p, k)
         # dlog 8q and powers 8 phi (int64); q_roots 16q, phi_roots 16 phi
         # and power_roots 16 phi (complex128)
         table_bytes = 24 * q + 40 * phi
@@ -204,7 +186,7 @@ class PrimePowerModulus:
         # A generator mod p^2 generates mod every p^k (p odd), so testing
         # against p^min(k,2) identifies the least generator mod p^k.
         m = self.p ** min(self.k, 2)
-        phi = m // self.p * (self.p - 1) if m > self.p else self.p - 1
+        phi = phi_prime_power(self.p, min(self.k, 2))
         prime_factors = _factor(phi)
         g = 2
         while True:

@@ -10,7 +10,7 @@ quadrature of the underlying integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,33 +19,33 @@ from .errors import BadShiftBound, PreconditionViolated
 from .modular import PrimePowerModulus, reduce_mod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSequence:
-    """Complex coefficients indexed n = support_start .. support_start+len-1."""
+    """Complex coefficients indexed n = support_start .. support_start+len-1,
+    held as one read-only complex128 array (a copy of those given)."""
 
     support_start: int
-    coefficients: tuple[complex, ...]
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        if len(self.coefficients) < 1:
+        arr = np.array(self.coefficients, dtype=np.complex128)
+        if arr.size < 1:
             raise PreconditionViolated("sequence needs at least one coefficient")
-        arr = np.asarray(self.coefficients, dtype=np.complex128)
         if not np.isfinite(arr).all():
             raise PreconditionViolated("coefficients must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "coefficients", arr)
 
     def __len__(self) -> int:
-        return len(self.coefficients)
+        return self.coefficients.size
 
     @property
     def support_end(self) -> int:
         # inclusive
-        return self.support_start + len(self.coefficients) - 1
+        return self.support_start + self.coefficients.size - 1
 
     def as_array(self) -> np.ndarray:
-        return self._array
+        return self.coefficients
 
 
 def random_sequence(
@@ -54,7 +54,7 @@ def random_sequence(
     """Seeded random coefficients, uniform on the unit square [0,1)+[0,1)i."""
     u = rng.random(length)
     v = rng.random(length)
-    return FiniteSequence(support_start, tuple(u + 1j * v))
+    return FiniteSequence(support_start, u + 1j * v)
 
 
 def _symmetric_shift_sum(arr: np.ndarray, weights: list) -> float:

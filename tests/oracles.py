@@ -27,6 +27,7 @@ from cosetlfun.modular import (
     epsilon_q,
     jacobi_symbol,
     mod_inverse,
+    phi_prime_power,
     root_of_unity,
 )
 from cosetlfun.vdc import FiniteSequence
@@ -126,7 +127,8 @@ def coset_exponents_oracle(spec: CosetSpec) -> list:
     step = m.p ** (m.k - spec.j)
     want = {"all": (0, 1), "even": (0,), "odd": (1,)}[spec.parity]
     exponents = sorted(
-        (spec.base.c + i * step) % m.phi for i in range(spec.subgroup_order)
+        (spec.base.c + i * step) % m.phi
+        for i in range(phi_prime_power(m.p, spec.j))
     )
     return [c for c in exponents if c % 2 in want]
 

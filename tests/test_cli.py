@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -413,3 +415,54 @@ class TestDeterminism:
             # 17 significant digits reproduce the double exactly
             v = float(r["empirical"])
             assert format(v, ".17g") == r["empirical"]
+
+
+class TestSeededStream:
+    def rows(self, capsys, *ks):
+        code, out, _ = run_cli(
+            capsys, "coset-eps", "--p", "5", "--k", *ks, "--seed", "3"
+        )
+        assert code == 0
+        return list(csv.DictReader(io.StringIO(out)))
+
+    def test_one_stream_across_the_grid(self, capsys):
+        # the k = 4 modulus draws where the k = 3 one stopped, not from a
+        # freshly seeded stream
+        both = self.rows(capsys, "3", "4")
+        assert [r for r in both if r["k"] == "3"] == self.rows(capsys, "3")
+        assert [r for r in both if r["k"] == "4"] != self.rows(capsys, "4")
+
+    def test_no_generator_without_draws(self):
+        # numpy.random costs about 6 MiB; subcommands that sample nothing
+        # must not import it, and vdc, which does, shows the probe works
+        runs = [
+            ["moment", "--p", "5", "--k", "4", "--j", "2"],
+            ["gauss-verify", "--p", "5", "--k", "2"],
+            ["hybrid", "--p", "3", "--k", "4", "--j", "1"],
+            ["lemma9", "--p", "3", "--k", "4", "--j", "1"],
+            ["near-one", "--p", "3", "--k", "4"],
+            ["recipe", "--p", "5", "--k", "4", "--j", "2"],
+            ["vdc", "--trials", "1"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from cosetlfun.cli import main\n"
+            "out = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    out.append([status, 'numpy.random' in sys.modules])\n"
+            "print(json.dumps(out))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert all(status in (0, 1) for status, _ in got), got
+        assert [loaded for _, loaded in got] == [False] * 6 + [True]

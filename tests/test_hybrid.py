@@ -262,6 +262,20 @@ class TestHybridQuadrature:
         with pytest.raises(PreconditionViolated):
             hybrid_moment_quadrature(chi, 1, T=1.0, T0=2.0, t_step=0.25)
 
+    @pytest.mark.parametrize(
+        "T,T0,t_step",
+        [(1.0, 2.0, 0.25), (10.0, 2.0, 1e-9)],
+        ids=["window-past-T", "window-over-work-cap"],
+    )
+    def test_refuses_before_enumerating_the_coset(self, T, T0, t_step, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("coset enumerated before the window was checked")
+
+        monkeypatch.setattr(hybrid_module, "enumerate_coset", unreachable)
+        chi = DirichletCharacter(modulus(3, 4), 1)
+        with pytest.raises(PreconditionViolated):
+            hybrid_moment_quadrature(chi, 1, T=T, T0=T0, t_step=t_step)
+
     def test_rejects_imprimitive_base(self):
         with pytest.raises(PreconditionViolated):
             hybrid_moment_quadrature(DirichletCharacter(modulus(3, 4), 3), 1)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import signal
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,6 +15,7 @@ from cosetlfun.errors import (
     PreconditionViolated,
     PrincipalCharacter,
 )
+import cosetlfun.lcentral as lcentral_module
 from cosetlfun.hybrid import hybrid_moment_quadrature
 from cosetlfun.lcentral import (
     _em_hurwitz,
@@ -131,6 +133,22 @@ class TestHurwitzZeta:
         # within a few powers of two below it
         _, tail, _ = _zeta_grid(q, t)
         assert 2**-64 < tail <= 2**-52
+
+    def test_cached_grid_released_before_the_next_is_built(self, monkeypatch):
+        # a window at a new t must not hold the previous q-point grid while
+        # it builds the next one
+        _zeta_grid.cache_clear()
+        old = weakref.ref(_zeta_grid(81, 0.0)[0])
+        route = lcentral_module.grid_route
+        released = []
+
+        def spy(q, t, grids=1):
+            released.append(old() is None)
+            return route(q, t, grids)
+
+        monkeypatch.setattr(lcentral_module, "grid_route", spy)
+        _zeta_grid(81, 1.0)
+        assert released == [True]
 
     def test_pole_and_domain(self):
         with pytest.raises(PoleAtOne):

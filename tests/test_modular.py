@@ -88,11 +88,6 @@ class TestModInverse:
             with pytest.raises(NotInvertible):
                 mod_inverse(a, m)
 
-    def test_accepts_modulus_object(self):
-        m = modulus(5, 3)
-        assert mod_inverse(2, m) == 63
-        assert 2 * 63 % 125 == 1
-
     def test_nonpositive_modulus(self):
         with pytest.raises(InvalidModulus):
             mod_inverse(3, 0)
@@ -220,6 +215,12 @@ class TestPrimePowerModulus:
             PrimePowerModulus(3, 20)  # 3.5e9: rejected before any table
         with pytest.raises(InvalidModulus, match=r"q = 3\^1000000000000 exceeds"):
             PrimePowerModulus(3, 10**12)  # rejected before 3**k is formed
+
+    def test_cap_checked_before_primality(self):
+        # trial division would need about 2^60 steps to find (2^61 - 1)^2
+        # composite; the cap refuses it first
+        with pytest.raises(InvalidModulus, match=r"exceeds the 2\^31 cap"):
+            PrimePowerModulus((2**61 - 1) ** 2, 1)
 
     def test_generator_generates(self):
         for p, k in ((3, 1), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1)):

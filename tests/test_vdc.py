@@ -68,7 +68,7 @@ class TestFiniteSequence:
     def test_random_sequence_seeded(self):
         a = random_sequence(10, np.random.default_rng(5))
         b = random_sequence(10, np.random.default_rng(5))
-        assert a.coefficients == b.coefficients
+        assert np.array_equal(a.coefficients, b.coefficients)
         assert a.support_start == 1
 
 
