@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -71,8 +71,9 @@ class RunResult:
     def add(self, *values) -> None:
         """Append a row given in report-column order; a complex value fills
         its _re/_im column pair."""
-        cells = ([v.real, v.imag] if isinstance(v, complex) else v for v in values)
-        self.rows.append(dict(zip(self.keys, cells, strict=True)))
+        if len(values) != len(self.keys):
+            raise ValueError(f"{len(values)} values for {len(self.keys)} columns")
+        self.rows.append(values)
 
 
 def even_bases(m) -> list:
@@ -155,12 +156,12 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
             chi = DirichletCharacter(m, c)
             key = c % m.p ** (m.k - j)
             if key not in by_coset:
-                by_coset[key] = moment_report(chi, j, args.retain_phase)
-            row = replace(by_coset[key], chi_exponent=c, ell=postnikov_ell(chi))
-            rows.append(row.to_dict())
-        improved = sum(
-            1 for r in rows if abs(r["residual"]) < abs(r["baseline_residual"])
-        )
+                report = moment_report(chi, j, args.retain_phase)
+                by_coset[key] = tuple(vars(report).values())
+            q, q0, _, _, *rest = by_coset[key]
+            rows.append((q, q0, c, postnikov_ell(chi), *rest))
+        # r[7:12] holds empirical, D, A, residual, baseline_residual
+        improved = sum(1 for r in rows if abs(r[10]) < abs(r[11]))
         if improved < len(rows):
             res.soft_warnings.append(
                 f"moment q={m.q} j={j}: secondary term improves the "
@@ -168,12 +169,8 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
                 "theorem's error term dominates at desk-scale moduli)"
             )
         for r in rows:
-            if not all(
-                math.isfinite(r[key]) for key in ("empirical", "D", "A", "residual")
-            ):
-                res.hard_failures.append(
-                    f"moment q={m.q} c={r['chi_exponent']}: non-finite value"
-                )
+            if not all(map(math.isfinite, r[7:11])):
+                res.hard_failures.append(f"moment q={m.q} c={r[2]}: non-finite value")
         res.rows.extend(rows)
 
 
@@ -240,7 +237,8 @@ def cmd_lemma9(args, m: PrimePowerModulus, res: RunResult) -> None:
     """|S| mass scans against the square-root envelope (soft guard only)."""
     for j in args.j or [1]:
         scan = lemma9_scan(m, j, args.A, args.B)
-        res.rows.extend(scan.rows)
+        for r in scan.rows:
+            res.add(*r.values())
         if not scan.soft_guard_ok():
             res.soft_warnings.append(
                 f"lemma9 q={m.q} j={j}: max ratio {scan.max_ratio:.3f} "
@@ -461,17 +459,17 @@ def main(argv=None) -> int:
         return 2
 
     if spec.checked:
+        keys, col = result.keys, result.keys.index(spec.checked)
         for row in result.rows:
-            if row[spec.checked] > args.tolerance:
-                where = " ".join(
-                    f"{key}={v}" for key, v in row.items() if isinstance(v, (int, str))
-                )
+            if not row[col] <= args.tolerance:  # so that a NaN fails too
+                cells = zip(keys, row)
+                where = " ".join(f"{k}={v}" for k, v in cells if isinstance(v, (int, str)))
                 result.hard_failures.append(
                     f"{args.subcommand} {where}: {spec.checked} "
-                    f"{row[spec.checked]:.3e} > {args.tolerance:.1e}"
+                    f"{row[col]:.3e} > {args.tolerance:.1e}"
                 )
 
-    text = render_rows(result.rows, args.format)
+    text = render_rows((result.keys, result.rows), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

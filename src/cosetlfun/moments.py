@@ -237,10 +237,6 @@ class MomentReport:
     baseline_residual: float
     error_scale: float
 
-    def to_dict(self) -> dict:
-        # every field is a scalar, so the shallow copy is the whole row
-        return dict(vars(self))
-
 
 def moment_report(
     chi: DirichletCharacter, j: int, retain_phase: bool = False

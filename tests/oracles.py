@@ -2,13 +2,16 @@
 
 Each one computes a quantity of the library by a route that shares no code
 with the library's own evaluator of it (the Abel-summation series against
-the Hurwitz grid, a direct overlap sum against one correlation), or states a
-closed form that the library checks against brute sums.
+the Hurwitz grid, a direct overlap sum against one correlation, dict rows
+through csv.writer against the cached row templates), or states a closed
+form that the library checks against brute sums.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
 from collections.abc import Sequence
 
@@ -30,6 +33,7 @@ from cosetlfun.modular import (
     phi_prime_power,
     root_of_unity,
 )
+from cosetlfun.report import fmt_float
 from cosetlfun.vdc import FiniteSequence
 
 
@@ -192,3 +196,64 @@ def l_series_oracle(
     idx = np.arange(terms) % q
     total += complex((table[idx] * diffs[:terms]).sum())
     return total
+
+
+def rows_as_dicts(keys: list, rows: list) -> list[dict]:
+    """Tuple rows as the dict rows the oracle renderer reads: a complex
+    value becomes its [re, im] pair."""
+    return [
+        dict(
+            zip(keys, ([v.real, v.imag] if isinstance(v, complex) else v for v in row))
+        )
+        for row in rows
+    ]
+
+
+def _json_value(v) -> str:
+    if isinstance(v, str):
+        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return fmt_float(v)
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_json_value(u) for u in v) + "]"
+    raise TypeError(f"cannot serialize {type(v)}")
+
+
+def _csv_cells(d: dict) -> list:
+    """A row's cells in column order; a [re, im] pair fills two."""
+    cells = []
+    for v in d.values():
+        if isinstance(v, (list, tuple)):
+            cells += map(fmt_float, v)
+        else:
+            cells.append(fmt_float(v) if isinstance(v, float) else v)
+    return cells
+
+
+def render_rows_oracle(dicts: list[dict], fmt: str) -> str:
+    """Dict rows as 'csv' (through csv.writer) or 'jsonl' text: the report
+    renderer as it was before rows became tuples."""
+    if fmt == "jsonl":
+        return "".join(
+            "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in d.items()) + "}\n"
+            for d in dicts
+        )
+    if fmt != "csv":
+        raise ValueError(f"unknown format {fmt!r}")
+    if not dicts:
+        return ""
+    header = [
+        k + part
+        for k, v in dicts[0].items()
+        for part in (("_re", "_im") if isinstance(v, (list, tuple)) else ("",))
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_csv_cells, dicts))
+    return buf.getvalue()

@@ -1,8 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cosetlfun.cli import RunResult
 from cosetlfun.report import dumps_jsonl_row, fmt_float, rel_err, render_rows
+from oracles import render_rows_oracle, rows_as_dicts
 
 
 class TestFmtFloat:
@@ -44,7 +50,7 @@ class TestSerialization:
         assert json.loads(line)["s"] == 'say "hi"'
 
     def test_render_csv_header_and_floats(self):
-        rows = [{"a": 1, "b": 0.1}, {"a": 2, "b": 0.25}]
+        rows = (["a", "b"], [(1, 0.1), (2, 0.25)])
         text = render_rows(rows, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "a,b"
@@ -52,13 +58,88 @@ class TestSerialization:
         assert "\r" not in text
 
     def test_render_jsonl_line_per_row(self):
-        rows = [{"a": 1}, {"a": 2}]
+        rows = (["a"], [(1,), (2,)])
         text = render_rows(rows, "jsonl")
         assert text.count("\n") == 2
         assert [json.loads(x)["a"] for x in text.strip().splitlines()] == [1, 2]
 
     def test_complex_pairs_flatten_in_csv(self):
-        rows = [{"z": [1.0, -2.0], "n": 1}]
+        rows = (["z", "n"], [(1.0 - 2.0j, 1)])
         text = render_rows(rows, "csv")
         header = text.splitlines()[0]
         assert header == "z_re,z_im,n"
+
+
+# every cell type a report row may carry; columns change type between rows,
+# so one table exercises several cached row templates
+_STR_CELLS = st.text(alphabet=[",", '"', "\r", "\n", "a", " ", "\\", "é"], max_size=6)
+_JSON_CELLS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.0**-1030]),
+    st.floats().map(np.float64),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+    st.booleans(),
+    _STR_CELLS,
+)
+_ALL_CELLS = st.one_of(
+    _JSON_CELLS,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def _tables(draw, cells):
+    width = draw(st.integers(1, 5))
+    keys = [f"c{i}" for i in range(width)]
+    rows = draw(st.lists(st.tuples(*[cells] * width), max_size=6))
+    return keys, rows
+
+
+class TestRenderOracle:
+    """render_rows against the dict rows through csv.writer that it replaced."""
+
+    def check(self, keys, rows):
+        res = RunResult(keys)
+        for row in rows:
+            res.add(*row)
+            with pytest.raises(ValueError):
+                res.add(*row, 0)
+            with pytest.raises(ValueError):
+                res.add(*row[:-1])
+        dicts = rows_as_dicts(keys, res.rows)
+        for fmt in ("csv", "jsonl"):
+            try:
+                want = render_rows_oracle(dicts, fmt)
+            except TypeError:
+                # numpy integers, float32 and bool_ have no JSON form
+                with pytest.raises(TypeError):
+                    render_rows((keys, res.rows), fmt)
+            else:
+                assert render_rows((keys, res.rows), fmt) == want
+
+    @settings(max_examples=300)
+    @given(_tables(_ALL_CELLS))
+    def test_every_cell_type(self, table):
+        self.check(*table)
+
+    @settings(max_examples=150)
+    @given(_tables(_JSON_CELLS))
+    def test_json_cell_types(self, table):
+        self.check(*table)
+
+    def test_edge_cells(self):
+        self.check(["s"], [("",), ("a,b",), ('"',), ("\r",), ("x\ny",)])
+        self.check(
+            ["a", "b", "c"],
+            [
+                (np.float32(0.1), np.int64(2**62), np.bool_(True)),
+                (1 + 2j, -0.0, 2**53 + 1),
+                ("", math.nan, np.complex128(5e-324 - 1j)),
+            ],
+        )
+        assert render_rows((["a"], []), "csv") == ""
+        assert render_rows((["a"], []), "jsonl") == ""
