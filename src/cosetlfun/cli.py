@@ -129,7 +129,7 @@ def cmd_ratio(args, m: PrimePowerModulus, res: RunResult) -> None:
         chi1 = DirichletCharacter(m, c1)
         for d in range(0, m.phi, step):
             c2 = (c1 - d) % m.phi
-            if c2 % m.p == 0 or c2 == 0:
+            if c2 % m.p == 0:
                 continue
             chi2 = DirichletCharacter(m, c2)
             for tw in twists:
@@ -431,6 +431,8 @@ def check_args(args: argparse.Namespace) -> None:
             flag = key.replace("_", "-")
             raise ConfigError(f"{flag} must be >= 1, got {given[key]}")
     if args.out:
+        if os.path.isdir(args.out):
+            raise ConfigError(f"output path is a directory: {args.out}")
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise ConfigError(f"output directory not writable: {parent}")

@@ -23,30 +23,6 @@ def rel_err(brute: complex, closed: complex) -> float:
     return abs_err / scale if scale > 0 else abs_err
 
 
-def _json_value(v) -> str:
-    if isinstance(v, str):
-        # instance labels are plain ASCII; escape conservatively anyway
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return fmt_float(v)
-    if isinstance(v, complex):
-        v = (v.real, v.imag)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(u) for u in v) + "]"
-    raise TypeError(f"cannot serialize {type(v)}")
-
-
-def dumps_jsonl_row(d: dict) -> str:
-    """One JSON object per line, insertion-ordered keys, 17-digit floats."""
-    body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in d.items())
-    return "{" + body + "}"
-
-
 def _csv_str(s: str) -> str:
     """csv.writer's minimal quoting under "\\n" line ends: a cell holding a
     comma, a quote or a newline is quoted, with its quotes doubled."""
@@ -55,44 +31,62 @@ def _csv_str(s: str) -> str:
     return s
 
 
-def _csv_line(types: tuple):
-    """The CSV line of a row whose cells have these types, as a function of
-    its cells: 17 digits for a float or complex part, str() otherwise."""
-    cells, strs = [], []
-    for i, t in enumerate(types):
+def _json_str(s: str) -> str:
+    # instance labels are plain ASCII; escape conservatively anyway
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _line(types: tuple, keys: list | None = None):
+    """The line of a row whose cells have these types, as a function of its
+    cells: a CSV record, or with keys a JSON object.  A float or complex
+    part gets 17 digits, a str is quoted, a JSON bool is true/false, and
+    any other cell is str(); JSON refuses a type it has no form for."""
+    jsonl = keys is not None
+    cells, convert = [], {}
+    for i, t in enumerate(types[: len(keys)] if jsonl else types):
         if issubclass(t, complex):
-            cells.append(f"{{{i}.real:.17g}},{{{i}.imag:.17g}}")
+            re_im = f"{{{i}.real:.17g}}", f"{{{i}.imag:.17g}}"
+            cell = "[{}, {}]".format(*re_im) if jsonl else ",".join(re_im)
         elif issubclass(t, float):
-            cells.append(f"{{{i}:.17g}}")
+            cell = f"{{{i}:.17g}}"
         else:
-            cells.append(f"{{{i}!s}}")
+            cell = f"{{{i}!s}}"
             if issubclass(t, str):
-                strs.append(i)
-    line = (",".join(cells) + "\n").format
-    if not strs:
+                convert[i] = _json_str if jsonl else _csv_str
+            elif jsonl and t is bool:
+                convert[i] = {True: "true", False: "false"}.get
+            elif jsonl and not issubclass(t, int):
+                raise TypeError(f"cannot serialize {t}")
+        if jsonl:
+            cell = '"' + keys[i].replace("{", "{{").replace("}", "}}") + '": ' + cell
+        cells.append(cell)
+    if jsonl:
+        line = ("{{" + ", ".join(cells) + "}}\n").format
+    else:
+        line = (",".join(cells) + "\n").format
+        if len(types) == 1 and convert:  # csv.writer quotes an empty line
+            convert[0] = lambda s: _csv_str(s) or '""'
+    if not convert:
         return line
-    # csv.writer quotes a one-cell record that would be an empty line
-    quote = _csv_str if len(types) > 1 else lambda s: _csv_str(s) or '""'
-    return lambda *row: line(*[quote(v) if i in strs else v for i, v in enumerate(row)])
+    return lambda *row: line(*[convert[i](v) if i in convert else v for i, v in enumerate(row)])
 
 
 def render_rows(table: tuple, fmt: str) -> str:
     """Serialize a (keys, rows) report as 'csv' or 'jsonl' text (UTF-8, LF
     endings); the first row's complex cells split the CSV header's keys."""
     keys, rows = table
-    if fmt == "jsonl":
-        return "".join(dumps_jsonl_row(dict(zip(keys, row))) + "\n" for row in rows)
-    if fmt != "csv":
+    if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
-    if not rows:
-        return ""
-    header = [
-        k + part
-        for k, v in zip(keys, rows[0])
-        for part in (("_re", "_im") if isinstance(v, complex) else ("",))
-    ]
-    line_of = cache(_csv_line)  # one line function per row signature
-    out = [line_of((str,) * len(header))(*header)]
+    # one line function per row signature
+    line_of = cache(_line) if fmt == "csv" else cache(lambda types: _line(types, keys))
+    out = []
+    if rows and fmt == "csv":
+        header = [
+            k + part
+            for k, v in zip(keys, rows[0])
+            for part in (("_re", "_im") if isinstance(v, complex) else ("",))
+        ]
+        out.append(line_of((str,) * len(header))(*header))
     # joined in blocks, so the report never sits in memory as one str per line
     for i in range(0, len(rows), 4096):
         block = rows[i : i + 4096]

@@ -177,6 +177,16 @@ class TestConfigErrors:
         )
         assert code == 2
 
+    def test_out_directory_rejected(self, capsys, tmp_path, monkeypatch):
+        # refused before any modulus is built, not by open() after the grid
+        monkeypatch.setattr(cli_module, "modulus", None)
+        for argv in (["vdc", "--trials", "1"], ["gauss-verify", "--p", "3", "--k", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("config error: output path is a directory")
+        assert list(tmp_path.iterdir()) == []
+
     def test_lemma9_cap_violation(self, capsys):
         code, _, err = run_cli(capsys, "lemma9", "--p", "3", "--k", "7")
         assert code == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlfun.cli import RunResult
-from cosetlfun.report import dumps_jsonl_row, fmt_float, rel_err, render_rows
+from cosetlfun.report import fmt_float, rel_err, render_rows
 from oracles import render_rows_oracle, rows_as_dicts
 
 
@@ -38,16 +38,19 @@ class TestRelErr:
 
 class TestSerialization:
     def test_jsonl_is_valid_json(self):
-        d = {"name": "a b", "x": 0.1, "n": 3, "flag": True, "pair": [1.5, -2.0]}
-        line = dumps_jsonl_row(d)
+        keys = ["name", "x", "n", "flag", "pair"]
+        line = render_rows((keys, [("a b", 0.1, 3, True, 1.5 - 2.0j)]), "jsonl")
         back = json.loads(line)
-        assert back["name"] == "a b"
-        assert back["x"] == 0.1
-        assert back["pair"] == [1.5, -2.0]
+        assert back == {"name": "a b", "x": 0.1, "n": 3, "flag": True, "pair": [1.5, -2.0]}
+        assert back["flag"] is True
 
     def test_jsonl_escapes_quotes(self):
-        line = dumps_jsonl_row({"s": 'say "hi"'})
-        assert json.loads(line)["s"] == 'say "hi"'
+        line = render_rows((["s"], [('say "hi" \\ bye',)]), "jsonl")
+        assert json.loads(line)["s"] == 'say "hi" \\ bye'
+
+    def test_jsonl_keys_keep_braces(self):
+        line = render_rows((["{0}", "a}"], [(1, 2)]), "jsonl")
+        assert json.loads(line) == {"{0}": 1, "a}": 2}
 
     def test_render_csv_header_and_floats(self):
         rows = (["a", "b"], [(1, 0.1), (2, 0.25)])
