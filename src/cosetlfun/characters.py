@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidModulus, NotPrimitive, PreconditionViolated
 from .modular import PrimePowerModulus, mod_inverse, reduce_mod, root_of_unity
-from .modular import phi_prime_power  # noqa: F401 (re-exported)
 
 
 def primitive_exponents(m: PrimePowerModulus) -> list:
@@ -149,6 +148,20 @@ class CosetSpec:
             raise PreconditionViolated(f"unknown parity filter {self.parity!r}")
         if not self.base.is_primitive:
             raise NotPrimitive("coset base must be primitive")
+
+
+def classify_regime(k: int, j: int) -> str:
+    """The window of level j against k, named after the secondary-term
+    theorems: thm11 for j < k < 2j, thm12 for 2j < k <= 3j, both at k = 2j
+    and none otherwise.  The coset epsilon averages have their closed forms
+    on the same windows (`gauss.eps_regimes`)."""
+    if k == 2 * j:
+        return "both"
+    if j < k < 2 * j:
+        return "thm11"
+    if 2 * j < k <= 3 * j:
+        return "thm12"
+    return "none"
 
 
 def coset_exponents(spec: CosetSpec) -> list:

@@ -17,10 +17,6 @@ class NotOneUnit(CosetLFunError):
     """p-adic logarithm argument is not congruent to 1 mod p."""
 
 
-class SharedFactor(CosetLFunError):
-    """Quadratic coefficient shares a factor with the modulus."""
-
-
 class DegenerateConductor(CosetLFunError):
     """Operation needs modulus exponent k >= 2."""
 

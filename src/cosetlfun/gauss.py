@@ -20,9 +20,9 @@ from .characters import (
     CosetSpec,
     DirichletCharacter,
     character_with_ell,
+    classify_regime,
     enumerate_coset,
     generator_row,
-    phi_prime_power,
     postnikov_ell,
 )
 from .errors import (
@@ -37,6 +37,7 @@ from .modular import (
     epsilon_q,
     jacobi_symbol,
     mod_inverse,
+    phi_prime_power,
     reduce_mod,
     root_of_unity,
 )
@@ -204,11 +205,13 @@ def coset_epsilon_average(spec: CosetSpec, twists: Sequence[int]) -> list[comple
 
 def eps_regimes(p: int, k: int, j: int) -> list:
     """Closed-form regimes of the coset epsilon average at level j mod p^k:
-    linear for k/2 <= j < k, quadratic for k/3 <= j <= k/2 and p >= 5."""
+    linear in the thm11 window and quadratic in the thm12 window (p >= 5),
+    both at k = 2j (`classify_regime`)."""
+    window = classify_regime(k, j)
     out = []
-    if (k + 1) // 2 <= j < k:
+    if window in ("thm11", "both"):
         out.append("linear")
-    if p >= 5 and -(-k // 3) <= j <= k // 2:
+    if window in ("thm12", "both") and p >= 5:
         out.append("quadratic")
     return out
 

@@ -1,12 +1,12 @@
 """Central values of Dirichlet L-functions on the critical line.
 
-The primary route decomposes L(s, chi) over Hurwitz zetas at rationals,
-each evaluated by Euler-Maclaurin with a monitored tail bound.  A second,
-deliberately different route sums the Dirichlet series directly with
-iterated Abel summation; the two are never merged, so each can check the
-other.  All analytic constants (Bernoulli numbers, Euler's constant, the
-digamma value entering the moment main term) are computed here from their
-defining series, not pasted in as literals.
+L(s, chi) is decomposed over Hurwitz zetas at rationals, each evaluated by
+Euler-Maclaurin with a monitored tail bound.  The tests check it against a
+deliberately different route, the Dirichlet series summed directly with
+iterated Abel summation (`l_series_oracle` in tests/oracles.py), which
+shares no code with this one.  All analytic constants (Bernoulli numbers,
+Euler's constant, the digamma value entering the moment main term) are
+computed here from their defining series, not pasted in as literals.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .characters import (
     CosetSpec,
     DirichletCharacter,
+    classify_regime,
     enumerate_coset,
-    phi_prime_power,
     postnikov_ell,
 )
 from .errors import (
@@ -32,6 +32,7 @@ from .modular import (
     divisor_count,
     jacobi_symbol,
     mod_inverse,
+    phi_prime_power,
     signed_lift,
 )
 
@@ -46,16 +47,6 @@ class RecipeParams:
     a_chi: int
     b_chi: int
     regime: str  # thm11 | thm12 | both | none
-
-
-def classify_regime(k: int, j: int) -> str:
-    if k == 2 * j:
-        return "both"
-    if j < k < 2 * j:
-        return "thm11"
-    if 2 * j < k <= 3 * j:
-        return "thm12"
-    return "none"
 
 
 def _level_modulus(m: PrimePowerModulus, j: int) -> int:

@@ -2,18 +2,16 @@
 
 Output files are meant to be byte-reproducible for a fixed configuration:
 rows are emitted in a sorted or otherwise fixed order by the callers and
-floats are printed with 17 significant digits (exact double round-trip).
-A report is a pair (keys, rows): each row is a tuple of values in key
-order, and a complex value fills a key_re, key_im column pair.
+floats are printed with 17 significant digits (exact double round-trip;
+JSON lines name the non-finite ones NaN, Infinity and -Infinity, and
+escape str cells, as `json.dumps` does).  A report is a pair (keys, rows):
+each row is a tuple of values in key order, and a complex value fills a
+key_re, key_im column pair.
 """
 
 from __future__ import annotations
 
 from functools import cache
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def rel_err(brute: complex, closed: complex) -> float:
@@ -31,32 +29,44 @@ def _csv_str(s: str) -> str:
     return s
 
 
-def _json_str(s: str) -> str:
-    # instance labels are plain ASCII; escape conservatively anyway
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    s = format(x, ".17g")
+    return _JSON_NONFINITE.get(s, s)
+
+
+def _json_complex(z: complex) -> str:
+    return f"[{_json_float(z.real)}, {_json_float(z.imag)}]"
 
 
 def _line(types: tuple, keys: list | None = None):
     """The line of a row whose cells have these types, as a function of its
     cells: a CSV record, or with keys a JSON object.  A float or complex
-    part gets 17 digits, a str is quoted, a JSON bool is true/false, and
-    any other cell is str(); JSON refuses a type it has no form for."""
+    part gets 17 digits (JSON names NaN and the infinities as json does),
+    a str is quoted, a JSON bool is true/false, and any other cell is
+    str(); JSON refuses a type it has no form for."""
     jsonl = keys is not None
+    if jsonl:
+        from json import JSONEncoder  # only a JSON report loads json
+
+        json_str = JSONEncoder(ensure_ascii=False).encode
     cells, convert = [], {}
     for i, t in enumerate(types[: len(keys)] if jsonl else types):
-        if issubclass(t, complex):
-            re_im = f"{{{i}.real:.17g}}", f"{{{i}.imag:.17g}}"
-            cell = "[{}, {}]".format(*re_im) if jsonl else ",".join(re_im)
+        cell = f"{{{i}!s}}"
+        if jsonl and issubclass(t, (float, complex)):
+            convert[i] = _json_complex if issubclass(t, complex) else _json_float
+        elif issubclass(t, complex):
+            cell = f"{{{i}.real:.17g}},{{{i}.imag:.17g}}"
         elif issubclass(t, float):
             cell = f"{{{i}:.17g}}"
-        else:
-            cell = f"{{{i}!s}}"
-            if issubclass(t, str):
-                convert[i] = _json_str if jsonl else _csv_str
-            elif jsonl and t is bool:
-                convert[i] = {True: "true", False: "false"}.get
-            elif jsonl and not issubclass(t, int):
-                raise TypeError(f"cannot serialize {t}")
+        elif issubclass(t, str):
+            convert[i] = json_str if jsonl else _csv_str
+        elif jsonl and t is bool:
+            convert[i] = {True: "true", False: "false"}.get
+        elif jsonl and not issubclass(t, int):
+            raise TypeError(f"cannot serialize {t}")
         if jsonl:
             cell = '"' + keys[i].replace("{", "{{").replace("}", "}}") + '": ' + cell
         cells.append(cell)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CosetSpec, DirichletCharacter, coset_exponents, phi_prime_power
+from .characters import CosetSpec, DirichletCharacter, coset_exponents
 from .errors import BadShiftBound, PreconditionViolated
-from .modular import PrimePowerModulus, reduce_mod
+from .modular import PrimePowerModulus, phi_prime_power, reduce_mod
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +43,6 @@ class FiniteSequence:
     def support_end(self) -> int:
         # inclusive
         return self.support_start + self.coefficients.size - 1
-
-    def as_array(self) -> np.ndarray:
-        return self.coefficients
 
 
 def random_sequence(
@@ -85,7 +82,7 @@ def vdc_inequality_check(a: FiniteSequence, H: int) -> tuple[float, float]:
     if a.support_start != 1:
         raise PreconditionViolated("inequality is stated for support [1, N]")
     N = len(a)
-    arr = a.as_array()
+    arr = a.coefficients
     lhs = abs(arr.sum()) ** 2
     rhs = (1.0 + N / H) * _symmetric_shift_sum(arr, [1.0 - h / H for h in range(H)])
     return float(lhs), float(rhs)
@@ -101,9 +98,9 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
     """
     if H < 1:
         raise BadShiftBound(f"kernel length H = {H} must be >= 1")
-    conv = np.convolve(np.ones(H, dtype=np.complex128), a.as_array())
+    conv = np.convolve(np.ones(H, dtype=np.complex128), a.coefficients)
     lhs = float(np.sum(np.abs(conv) ** 2))
-    rhs = _symmetric_shift_sum(a.as_array(), [float(H - h) for h in range(H)])
+    rhs = _symmetric_shift_sum(a.coefficients, [float(H - h) for h in range(H)])
     return lhs, rhs
 
 
@@ -136,7 +133,7 @@ def twisted_sum(a: FiniteSequence, m: PrimePowerModulus, cs) -> np.ndarray:
     exponents.  Each row is its own elementwise product and sum, so its
     value does not depend on the blocking.
     """
-    arr = a.as_array()
+    arr = a.coefficients
     d = _support_dlogs(a, m)
     cs = np.asarray(cs, dtype=np.int64) % m.phi
     out = np.empty(cs.size, dtype=np.complex128)
@@ -164,7 +161,7 @@ def coset_shift_identity(
 
     q0 = m.p**j
     chi_row = _character_rows(m, _support_dlogs(a, m), np.array([chi.c]))
-    b = a.as_array() * chi_row[0]
+    b = a.coefficients * chi_row[0]
     weights = [1.0 if h % q0 == 0 else 0.0 for h in range(len(a))]
     rhs = _symmetric_shift_sum(b, weights) * phi_prime_power(m.p, j)
     return float(lhs), float(rhs)

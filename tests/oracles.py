@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import json
 import math
 from collections.abc import Sequence
 
@@ -20,9 +21,9 @@ import numpy as np
 from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
 from cosetlfun.errors import (
     BadShiftBound,
+    CosetLFunError,
     PreconditionViolated,
     PrincipalCharacter,
-    SharedFactor,
 )
 from cosetlfun.lcentral import _em_hurwitz
 from cosetlfun.modular import (
@@ -33,8 +34,11 @@ from cosetlfun.modular import (
     phi_prime_power,
     root_of_unity,
 )
-from cosetlfun.report import fmt_float
 from cosetlfun.vdc import FiniteSequence
+
+
+class SharedFactor(CosetLFunError):
+    """Quadratic coefficient shares a factor with the modulus."""
 
 
 def quadratic_gauss_closed(a: int, b: int, q: int) -> complex:
@@ -50,9 +54,21 @@ def quadratic_gauss_closed(a: int, b: int, q: int) -> complex:
     return math.sqrt(q) * eps * jacobi_symbol(a, q) * root_of_unity(shift, q)
 
 
+def eps_regimes_oracle(p: int, k: int, j: int) -> list:
+    """Closed-form regimes of the coset epsilon average at level j mod p^k,
+    by their own inequalities: linear for k/2 <= j < k, quadratic for
+    k/3 <= j <= k/2 and p >= 5."""
+    out = []
+    if (k + 1) // 2 <= j < k:
+        out.append("linear")
+    if p >= 5 and -(-k // 3) <= j <= k // 2:
+        out.append("quadratic")
+    return out
+
+
 def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
     """sum_n a_{n+h} * conj(a_n) over the overlap of the two supports."""
-    arr = a.as_array()
+    arr = a.coefficients
     n = arr.size
     if abs(h) >= n:
         return 0j
@@ -103,7 +119,7 @@ def twisted_sum_oracle(a: FiniteSequence, chi: DirichletCharacter) -> complex:
     """sum_n a_n chi(n) over the support, one character at a time, with chi
     read from its value table instead of a dlog gather."""
     idx = np.arange(a.support_start, a.support_end + 1) % chi.modulus.q
-    return complex(np.sum(a.as_array() * chi.value_table()[idx]))
+    return complex(np.sum(a.coefficients * chi.value_table()[idx]))
 
 
 def char_sum_S_oracle(
@@ -209,16 +225,19 @@ def rows_as_dicts(keys: list, rows: list) -> list[dict]:
     ]
 
 
+def _fmt17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
 def _json_value(v) -> str:
     if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(v, ensure_ascii=False)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return fmt_float(v)
+        return _fmt17(v) if math.isfinite(v) else json.dumps(float(v))
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(u) for u in v) + "]"
     raise TypeError(f"cannot serialize {type(v)}")
@@ -229,15 +248,16 @@ def _csv_cells(d: dict) -> list:
     cells = []
     for v in d.values():
         if isinstance(v, (list, tuple)):
-            cells += map(fmt_float, v)
+            cells += map(_fmt17, v)
         else:
-            cells.append(fmt_float(v) if isinstance(v, float) else v)
+            cells.append(_fmt17(v) if isinstance(v, float) else v)
     return cells
 
 
 def render_rows_oracle(dicts: list[dict], fmt: str) -> str:
     """Dict rows as 'csv' (through csv.writer) or 'jsonl' text: the report
-    renderer as it was before rows became tuples."""
+    renderer as it was before rows became tuples, with each JSON value that
+    is not a finite float, a number or a bool written by json.dumps."""
     if fmt == "jsonl":
         return "".join(
             "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in d.items()) + "}\n"

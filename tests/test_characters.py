@@ -11,7 +11,6 @@ from cosetlfun.characters import (
     character_with_ell,
     coset_exponents,
     enumerate_coset,
-    phi_prime_power,
     postnikov_ell,
     primitive_exponents,
 )
@@ -21,7 +20,7 @@ from cosetlfun.errors import (
     NotPrimitive,
     PreconditionViolated,
 )
-from cosetlfun.modular import modulus, root_of_unity
+from cosetlfun.modular import modulus, phi_prime_power, root_of_unity
 from oracles import coset_exponents_oracle, value_table_oracle
 
 

@@ -11,6 +11,7 @@ from cosetlfun.characters import (
     CosetSpec,
     DirichletCharacter,
     character_with_ell,
+    classify_regime,
     enumerate_coset,
     postnikov_ell,
 )
@@ -19,7 +20,6 @@ from cosetlfun.errors import (
     OddBase,
     PreconditionViolated,
     RegimeMismatch,
-    SharedFactor,
     UnsupportedRegime,
 )
 import cosetlfun.gauss as gauss_module
@@ -36,7 +36,13 @@ from cosetlfun.gauss import (
 )
 from cosetlfun.modular import modulus, sample_units
 from cosetlfun.report import rel_err
-from oracles import additive_row_oracle, gauss_sum_oracle, quadratic_gauss_closed
+from oracles import (
+    SharedFactor,
+    additive_row_oracle,
+    eps_regimes_oracle,
+    gauss_sum_oracle,
+    quadratic_gauss_closed,
+)
 
 # q in {3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121}
 ORACLE_MODULI = [(p, k) for p in (3, 5, 7, 11) for k in range(1, 5) if p**k < 128]
@@ -338,6 +344,25 @@ class TestNearOne:
     def test_rejects_odd_k(self):
         with pytest.raises(PreconditionViolated):
             near_one_root_number_check(modulus(5, 3))
+
+
+class TestEpsRegimes:
+    # the window that the oracle's regimes mark at p >= 5, which admits both
+    WINDOW = {
+        (): "none",
+        ("linear",): "thm11",
+        ("quadratic",): "thm12",
+        ("linear", "quadratic"): "both",
+    }
+
+    def test_grid_matches_old_inequalities(self):
+        for p in (3, 5, 7, 11):
+            for k in range(1, 20):
+                for j in range(0, k + 2):
+                    want = eps_regimes_oracle(p, k, j)
+                    assert eps_regimes(p, k, j) == want, (p, k, j)
+                    window = self.WINDOW[tuple(eps_regimes_oracle(11, k, j))]
+                    assert classify_regime(k, j) == window, (k, j)
 
 
 class TestCosetEpsilonAverage:

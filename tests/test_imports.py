@@ -1,0 +1,53 @@
+"""Each library name has one import path: a module imports a name only
+from the module that defines it, and the package itself imports nothing."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cosetlfun"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _defined(tree: ast.Module) -> set:
+    """Names bound at top level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                )
+    return names
+
+
+DEFINED = {p.stem: _defined(_tree(p)) for p in MODULES}
+
+
+def test_package_imports_nothing():
+    tree = _tree(SRC / "__init__.py")
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_relative_imports_name_their_definition(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                assert alias.name in DEFINED[node.module], (
+                    f"{path.name}:{node.lineno} imports {alias.name} from "
+                    f".{node.module}, which does not define it"
+                )

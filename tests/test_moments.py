@@ -7,6 +7,7 @@ from cosetlfun.characters import (
     CosetSpec,
     DirichletCharacter,
     character_with_ell,
+    classify_regime,
     enumerate_coset,
     postnikov_ell,
 )
@@ -26,7 +27,6 @@ from cosetlfun.modular import (
     signed_lift,
 )
 from cosetlfun.moments import (
-    classify_regime,
     empirical_coset_moment,
     moment_report,
     predict_A,

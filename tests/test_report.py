@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetlfun.cli import RunResult
-from cosetlfun.report import fmt_float, rel_err, render_rows
+from cosetlfun.report import rel_err, render_rows
 from oracles import render_rows_oracle, rows_as_dicts
+
+
+def fmt_float(x: float) -> str:
+    """x as render_rows writes a one-cell CSV row of it."""
+    return render_rows((["x"], [(x,)]), "csv").splitlines()[1]
 
 
 class TestFmtFloat:
@@ -94,6 +99,14 @@ _ALL_CELLS = st.one_of(
 )
 
 
+# any text, and short runs of control characters, which JSON must escape
+_PARSE_CELLS = st.one_of(
+    _JSON_CELLS,
+    st.text(max_size=8),
+    st.text(alphabet=st.characters(max_codepoint=0x20), max_size=4),
+)
+
+
 @st.composite
 def _tables(draw, cells):
     width = draw(st.integers(1, 5))
@@ -146,3 +159,42 @@ class TestRenderOracle:
         )
         assert render_rows((["a"], []), "csv") == ""
         assert render_rows((["a"], []), "jsonl") == ""
+
+
+def _parsed_as(cell, back) -> bool:
+    """back, a value read by json.loads, is this report cell."""
+    if isinstance(cell, complex):
+        return (
+            isinstance(back, list)
+            and len(back) == 2
+            and all(map(_parsed_as, (cell.real, cell.imag), back))
+        )
+    if isinstance(cell, float) and math.isnan(cell):
+        return isinstance(back, float) and math.isnan(back)
+    return back == cell and isinstance(back, bool) == isinstance(cell, bool)
+
+
+class TestJsonlParses:
+    """Every JSON line json.loads reads back to the cells of its row."""
+
+    @settings(max_examples=300)
+    @given(_tables(_PARSE_CELLS))
+    def test_every_line_parses_back_to_its_cells(self, table):
+        keys, rows = table
+        text = render_rows((keys, rows), "jsonl")
+        # split on LF alone: str cells may hold U+2028, which JSON keeps raw
+        lines = text.split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            back = json.loads(line)
+            assert list(back) == keys
+            assert all(map(_parsed_as, row, back.values())), (line, row)
+
+    def test_nonfinite_and_control_cells(self):
+        row = (math.nan, -math.inf, complex(math.inf, math.nan), "a\nb\x00\t")
+        line = render_rows((["a", "b", "c", "d"], [row]), "jsonl")
+        assert line == (
+            '{"a": NaN, "b": -Infinity, "c": [Infinity, NaN], "d": "a\\nb\\u0000\\t"}\n'
+        )
+        assert _parsed_as(row[2], json.loads(line)["c"])

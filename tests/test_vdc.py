@@ -53,7 +53,7 @@ class TestFiniteSequence:
         a = FiniteSequence(3, (1, 2j, -1))
         assert len(a) == 3
         assert a.support_end == 5
-        assert a.as_array().dtype == np.complex128
+        assert a.coefficients.dtype == np.complex128
 
     def test_rejects_empty(self):
         with pytest.raises(PreconditionViolated):
@@ -154,7 +154,7 @@ class TestOneCorrelationPerSequence:
     # the reference, within the rounding of two length-N dot products
     @staticmethod
     def tolerance(a: FiniteSequence, weights: list) -> float:
-        norm = float(np.sum(np.abs(a.as_array()) ** 2))
+        norm = float(np.sum(np.abs(a.coefficients) ** 2))
         return 4 * len(a) * 2**-52 * 2 * sum(abs(w) for w in weights) * norm
 
     @given(sequence_and_shift())
@@ -269,7 +269,7 @@ class TestBatchedTwistedSum:
     def test_rows_match_oracle(self, case):
         m, a = case
         got = twisted_sum(a, m, range(m.phi))
-        tol = 4 * len(a) * 2**-53 * float(np.sum(np.abs(a.as_array())))
+        tol = 4 * len(a) * 2**-53 * float(np.sum(np.abs(a.coefficients)))
         for c in range(m.phi):
             want = twisted_sum_oracle(a, DirichletCharacter(m, c))
             assert abs(got[c] - want) <= tol
@@ -370,7 +370,7 @@ class TestCosetShiftIdentity:
         m = modulus(p, k)
         chi = DirichletCharacter(m, c)
         idx = np.arange(a.support_start, a.support_end + 1) % m.q
-        b = FiniteSequence(0, tuple(a.as_array() * chi.value_table()[idx]))
+        b = FiniteSequence(0, tuple(a.coefficients * chi.value_table()[idx]))
         q0 = p**j
         want = shifted_autocorrelation(b, 0).real
         for h in range(1, (len(a) - 1) // q0 + 1):
