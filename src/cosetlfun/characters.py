@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModulus, NotPrimitive, PreconditionViolated
-from .modular import PrimePowerModulus, mod_inverse, reduce_mod, root_of_unity
+from .modular import PrimePowerModulus, blocks, mod_inverse, reduce_mod, root_of_unity
 
 
 def primitive_exponents(m: PrimePowerModulus) -> list:
@@ -27,13 +27,18 @@ def even_primitive_exponents(m: PrimePowerModulus) -> list:
     return [c for c in range(2, m.phi, 2) if c % m.p != 0]
 
 
-def generator_row(m: PrimePowerModulus, c: int) -> np.ndarray:
-    """chi_c(g^i) = e(ci/phi) for i in [0, phi), a fresh array; c is taken
-    mod phi first, so every angle c*i stays below phi^2 < 2^62 and is
-    reduced exactly in int64."""
-    idx = np.arange(m.phi)
+def _generator_block(m: PrimePowerModulus, c: int, b: slice) -> np.ndarray:
+    """chi_c(g^i) = e(ci/phi) for i in the slice b of [0, phi), a fresh
+    array; c is taken mod phi first, so every angle c*i stays below
+    phi^2 < 2^62 and is reduced exactly in int64."""
+    idx = np.arange(b.start, b.stop)
     idx *= c % m.phi
     return m.phi_roots.take(reduce_mod(idx, m.phi))
+
+
+def generator_row(m: PrimePowerModulus, c: int) -> np.ndarray:
+    """chi_c(g^i) = e(ci/phi) for i in [0, phi), a fresh array."""
+    return _generator_block(m, c, slice(0, m.phi))
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,8 @@ class DirichletCharacter:
         """chi(n) for n = 0..q-1 as a complex array, zero off the units."""
         m = self.modulus
         out = np.zeros(m.q, dtype=np.complex128)
-        out[m.powers] = generator_row(m, self.c)
+        for b in blocks(m.phi):
+            out[m.powers[b]] = _generator_block(m, self.c, b)
         return out
 
 

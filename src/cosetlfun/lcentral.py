@@ -20,6 +20,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import PoleAtOne, PreconditionViolated, PrincipalCharacter
+from .modular import blocks
 
 _EM_TAIL_TARGET = 2**-52  # one ulp of 1
 _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
@@ -125,8 +126,8 @@ def em_shift(
     return n_shift, c * (n_shift + x_min) ** -e
 
 
-def _power(x: np.ndarray, s: complex) -> np.ndarray:
-    """x^(-s) for real x > 0 from one real logarithm, as
+def _power(x: np.ndarray, s: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """x^(-s) for real x > 0 from one real logarithm, into `out` if given, as
     exp(-sigma log x) (cos(t log x) - i sin(t log x)) with s = sigma + it;
     numpy's complex power takes a complex logarithm and exponential.  sin and
     cos run on contiguous arrays: into the strided halves of a complex array
@@ -135,7 +136,7 @@ def _power(x: np.ndarray, s: complex) -> np.ndarray:
     phase = lx * s.imag
     lx *= -s.real
     mag = np.exp(lx, out=lx)
-    out = np.empty(lx.shape, dtype=np.complex128)
+    out = np.empty(lx.shape, dtype=np.complex128) if out is None else out
     out.real = np.cos(phase) * mag
     mag *= np.sin(phase)
     out.imag = -mag
@@ -158,8 +159,9 @@ def _em_hurwitz(
     coefs, _ = _em_coefficients()
     n_shift, bound = em_shift(s, float(x.min()), x.size + 64, target)
     acc = np.zeros(x.shape, dtype=np.complex128)
-    for n in range(n_shift):
-        acc += _power(n + x, s)
+    for b in blocks(n_shift, x.size):  # one _power per chunk, added row by row
+        for row in _power(np.arange(b.start, b.stop)[:, None] + x, s):
+            acc += row
     w = n_shift + x
     wpow = _power(w, s)  # w^(-s); w^(1-s) and w^(-s-1) differ by a factor w
     acc += w * wpow / (s - 1) + 0.5 * wpow
@@ -285,30 +287,35 @@ def _taylor_grid(t: float, q: int, centres: int) -> tuple[np.ndarray, float]:
     terms = scale[:, None] * (np.abs(re[1:]) + np.abs(im[1:]))
     rounding = float(terms.sum(axis=0).max())
 
-    a = np.arange(1, q + 1)
-    vals = _power(a / q, s)
-    k = a * centres // q
-    np.minimum(k, centres - 1, out=k)
-    # (1 + a/q) - c_k over an exact integer numerator, rounded once; the
-    # cost cap keeps 2Kq below 2^53.  In place, to hold few q-length arrays.
-    a *= 2 * centres
-    a -= (2 * k + 1) * q
-    d = a / (2 * centres * q)
-    del a
-    acc_re, acc_im = re[degree].take(k), im[degree].take(k)
-    for n in range(degree - 1, -1, -1):
-        acc_re *= d
-        acc_re += re[n].take(k)
-        acc_im *= d
-        acc_im += im[n].take(k)
-    vals.real += acc_re
-    vals.imag += acc_im
+    # block by block into the grid, so the build holds it and a few blocks
+    vals = np.empty(q, dtype=np.complex128)
+    for b in blocks(q):
+        a = np.arange(b.start + 1, b.stop + 1)
+        block = _power(a / q, s, out=vals[b])
+        k = a * centres // q
+        np.minimum(k, centres - 1, out=k)
+        # (1 + a/q) - c_k over an exact integer numerator, rounded once; the
+        # cost cap keeps 2Kq below 2^53
+        a *= 2 * centres
+        a -= (2 * k + 1) * q
+        d = a / (2 * centres * q)
+        acc_re, acc_im = re[degree].take(k), im[degree].take(k)
+        for n in range(degree - 1, -1, -1):
+            acc_re *= d
+            acc_re += re[n].take(k)
+            acc_im *= d
+            acc_im += im[n].take(k)
+        block.real += acc_re
+        block.imag += acc_im
+        del a, k, d, acc_re, acc_im  # before the next block's arrays
     return vals, em_tail + remainder + rounding
 
 
 # each caller runs every character at one (q, t) before the next (q, t), so
-# one grid is cached; a miss releases it before building the next, so two
-# q-point grids and the build's temporaries are never held at once
+# one grid is cached; a miss releases it before building the next.  The
+# Taylor build holds the grid and a few blocks; the sum of |values| then adds
+# a q-length float array.  Euler-Maclaurin, taken only at small q, works on
+# whole grids.
 @lru_cache(maxsize=1)
 def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
     """zeta(1/2 + it, a/q) for a = 1..q, the shared grid for one modulus,
@@ -343,13 +350,12 @@ def l_value(chi: DirichletCharacter, t: float = 0.0) -> LValue:
     m = chi.modulus
     s = 0.5 + 1j * float(t)
     zg, tail, abs_sum = _zeta_grid(m.q, float(t))
-    chivals = chi.value_table()
-    # a runs over 1..q-1; chi(q) = 0 kills the endpoint
-    total = complex((chivals[1:] * zg[:-1]).sum())
-    scale = abs(m.q ** (-s))
+    table = chi.value_table()
+    # a runs over 1..q-1 (chi(q) = 0 kills the endpoint), in place in our own table
+    total = complex(np.multiply(table[1:], zg[:-1], out=table[1:]).sum())
     rounding = (math.log2(m.q) + 4) * 2**-52 * abs_sum
-    bound = scale * (m.phi * tail + rounding)
-    return LValue(m.q ** (-s) * total, bound)
+    scale = m.q ** (-s)
+    return LValue(scale * total, abs(scale) * (m.phi * tail + rounding))
 
 
 def completed_l_value(chi: DirichletCharacter) -> complex:

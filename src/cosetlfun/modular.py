@@ -128,6 +128,17 @@ def reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
     return x
 
 
+# the most elements a q- or phi-length kernel takes at once, so that it holds
+# its output and a few blocks, not several arrays of its output's length
+BLOCK = 2**13
+
+
+def blocks(n: int, width: int = 1) -> list:
+    """Slices covering range(n) in order, of max(1, BLOCK // width) items."""
+    step = max(1, BLOCK // width)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _geometric_powers(g: int, n: int, q: int) -> np.ndarray:
     """g^i mod q for i in [0, n), by doubling: the block [s, 2s) is the
     block [0, s) times g^s, so log2(n) int64 products, exact for q < 2^31."""
@@ -148,7 +159,7 @@ class PrimePowerModulus:
     `powers` (g^i mod q, i < phi) and its inverse `dlog` (the index of each
     residue, -1 off the units) are built eagerly: O(q) memory, refused before
     allocation when they and the three root tables would exceed the physical
-    memory.
+    memory.  The root tables are built on first use, `phi_roots` in blocks.
     """
 
     def __init__(self, p: int, k: int):
@@ -208,12 +219,16 @@ class PrimePowerModulus:
 
     @cached_property
     def phi_roots(self) -> np.ndarray:
-        """Table of e(j/phi) for j in [0, phi)."""
-        return np.exp(2j * np.pi * np.arange(self.phi) / self.phi)
+        """Table of e(j/phi) for j in [0, phi), filled block by block."""
+        out = np.empty(self.phi, dtype=np.complex128)
+        for b in blocks(self.phi):
+            np.exp(2j * np.pi * np.arange(b.start, b.stop) / self.phi, out=out[b])
+        return out
 
     @cached_property
     def q_roots(self) -> np.ndarray:
-        """Table of e(j/q) for j in [0, q)."""
+        """Table of e(j/q) for j in [0, q), built whole: in blocks it left
+        glibc's malloc thresholds where `gauss_sum_brute` ran 2x slower at 5^6."""
         return np.exp(2j * np.pi * np.arange(self.q) / self.q)
 
     @cached_property

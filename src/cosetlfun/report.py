@@ -32,21 +32,27 @@ def _csv_str(s: str) -> str:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(x: float) -> str:
-    s = format(x, ".17g")
-    return _JSON_NONFINITE.get(s, s)
+class _JsonText(str):
+    """A cell already written as JSON text, which a JSON line copies."""
 
 
-def _json_complex(z: complex) -> str:
-    return f"[{_json_float(z.real)}, {_json_float(z.imag)}]"
+def _json_text(v):
+    """A float or complex cell as JSON text, NaN and the infinities named as
+    json names them; any other cell as it is."""
+    if isinstance(v, complex):
+        return _JsonText(f"[{_json_text(v.real)}, {_json_text(v.imag)}]")
+    if isinstance(v, float):
+        s = format(v, ".17g")
+        return _JsonText(_JSON_NONFINITE.get(s, s))
+    return v
 
 
 def _line(types: tuple, keys: list | None = None):
     """The line of a row whose cells have these types, as a function of its
     cells: a CSV record, or with keys a JSON object.  A float or complex
-    part gets 17 digits (JSON names NaN and the infinities as json does),
-    a str is quoted, a JSON bool is true/false, and any other cell is
-    str(); JSON refuses a type it has no form for."""
+    part gets 17 digits, a str is quoted (a `_JsonText` copied), a JSON bool
+    is true/false, and any other cell is str(); JSON refuses a type it has
+    no form for."""
     jsonl = keys is not None
     if jsonl:
         from json import JSONEncoder  # only a JSON report loads json
@@ -55,17 +61,17 @@ def _line(types: tuple, keys: list | None = None):
     cells, convert = [], {}
     for i, t in enumerate(types[: len(keys)] if jsonl else types):
         cell = f"{{{i}!s}}"
-        if jsonl and issubclass(t, (float, complex)):
-            convert[i] = _json_complex if issubclass(t, complex) else _json_float
+        if jsonl and issubclass(t, complex):
+            cell = f"[{{{i}.real:.17g}}, {{{i}.imag:.17g}}]"
         elif issubclass(t, complex):
             cell = f"{{{i}.real:.17g}},{{{i}.imag:.17g}}"
         elif issubclass(t, float):
             cell = f"{{{i}:.17g}}"
-        elif issubclass(t, str):
+        elif issubclass(t, str) and t is not _JsonText:
             convert[i] = json_str if jsonl else _csv_str
         elif jsonl and t is bool:
             convert[i] = {True: "true", False: "false"}.get
-        elif jsonl and not issubclass(t, int):
+        elif jsonl and not issubclass(t, (int, _JsonText)):
             raise TypeError(f"cannot serialize {t}")
         if jsonl:
             cell = '"' + keys[i].replace("{", "{{").replace("}", "}}") + '": ' + cell
@@ -89,6 +95,10 @@ def render_rows(table: tuple, fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}")
     # one line function per row signature
     line_of = cache(_line) if fmt == "csv" else cache(lambda types: _line(types, keys))
+
+    def lines(block):
+        return "".join(line_of(tuple(map(type, r)))(*r) for r in block)
+
     out = []
     if rows and fmt == "csv":
         header = [
@@ -97,8 +107,11 @@ def render_rows(table: tuple, fmt: str) -> str:
             for part in (("_re", "_im") if isinstance(v, complex) else ("",))
         ]
         out.append(line_of((str,) * len(header))(*header))
-    # joined in blocks, so the report never sits in memory as one str per line
+    # joined in blocks, so the report never sits in memory as one str per
+    # line; a JSON block that wrote nan or inf is redone from JSON-text cells
     for i in range(0, len(rows), 4096):
-        block = rows[i : i + 4096]
-        out.append("".join(line_of(tuple(map(type, r)))(*r) for r in block))
+        text = lines(rows[i : i + 4096])
+        if fmt == "jsonl" and ("nan" in text or "inf" in text):
+            text = lines([tuple(map(_json_text, r)) for r in rows[i : i + 4096]])
+        out.append(text)
     return "".join(out)

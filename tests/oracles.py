@@ -25,7 +25,16 @@ from cosetlfun.errors import (
     PreconditionViolated,
     PrincipalCharacter,
 )
-from cosetlfun.lcentral import _em_hurwitz
+from cosetlfun.lcentral import (
+    _CENTRE_TAIL_TARGET,
+    _EM_TAIL_TARGET,
+    _em_coefficients,
+    _em_hurwitz,
+    _gamma,
+    _power,
+    _taylor_degree,
+    em_shift,
+)
 from cosetlfun.modular import (
     PrimePowerModulus,
     epsilon_q,
@@ -160,6 +169,70 @@ def coset_mean_square(a: FiniteSequence, chi: DirichletCharacter, j: int) -> flo
     for eta in enumerate_coset(CosetSpec(chi, j, "all")):
         total += abs(twisted_sum_oracle(a, eta)) ** 2
     return total
+
+
+def roots_oracle(n: int) -> np.ndarray:
+    """e(j/n) for j in [0, n), from one expression on the whole index."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def em_hurwitz_oracle(
+    s: complex, x: np.ndarray, target: float = _EM_TAIL_TARGET
+) -> tuple[np.ndarray, float]:
+    """`_em_hurwitz` with one whole-array power per shift term."""
+    coefs, _ = _em_coefficients()
+    n_shift, bound = em_shift(s, float(x.min()), x.size + 64, target)
+    acc = np.zeros(x.shape, dtype=np.complex128)
+    for n in range(n_shift):
+        acc += _power(n + x, s)
+    w = n_shift + x
+    wpow = _power(w, s)
+    acc += w * wpow / (s - 1) + 0.5 * wpow
+    wpow /= w
+    w2 = w * w
+    rising = complex(s)
+    for j, coef in enumerate(coefs, start=1):
+        if j > 1:
+            rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
+        acc += coef * rising * wpow
+        wpow = wpow / w2
+    return acc, bound
+
+
+def zeta_grid_oracle(q: int, t: float, centres: int) -> tuple[np.ndarray, float, float]:
+    """(values, tail, sum of |values|) of `_zeta_grid` on the route of
+    `centres` Taylor centres (0: Euler-Maclaurin), each q-length step taken
+    on the whole grid at once."""
+    s = complex(0.5, t)
+    if not centres:
+        vals, bound = em_hurwitz_oracle(s, np.arange(1, q + 1, dtype=np.float64) / q)
+        return vals, bound, float(np.abs(vals).sum())
+    degree, remainder = _taylor_degree(t, centres)
+    r = 0.5 / centres
+    c = 1 + (2 * np.arange(centres) + 1) * r
+    rows, em_tail, factor = [], 0.0, 1 + 0j
+    for n in range(degree + 1):
+        z, tail = em_hurwitz_oracle(s + n, c, _CENTRE_TAIL_TARGET)
+        rows.append(factor * z)
+        em_tail += abs(factor) * r**n * tail
+        factor *= -(s + n) / (n + 1)
+    re = np.array([row.real for row in rows])
+    im = np.array([row.imag for row in rows])
+    orders = np.arange(1, degree + 1)
+    scale = _gamma(8 * orders + 4) * r**orders
+    terms = scale[:, None] * (np.abs(re[1:]) + np.abs(im[1:]))
+    rounding = float(terms.sum(axis=0).max())
+    a = np.arange(1, q + 1)
+    vals = _power(a / q, s)
+    k = np.minimum(a * centres // q, centres - 1)
+    d = (a * (2 * centres) - (2 * k + 1) * q) / (2 * centres * q)
+    acc_re, acc_im = re[degree][k], im[degree][k]
+    for n in range(degree - 1, -1, -1):
+        acc_re = acc_re * d + re[n][k]
+        acc_im = acc_im * d + im[n][k]
+    vals.real += acc_re
+    vals.imag += acc_im
+    return vals, em_tail + remainder + rounding, float(np.abs(vals).sum())
 
 
 def dirichlet_kernel(H: int, x: float) -> complex:

@@ -119,6 +119,21 @@ class TestInequality:
         lhs, rhs = vdc_inequality_check(a, H)
         assert lhs <= rhs + 1e-9 * (1 + abs(rhs))
 
+    @given(st.integers(1, 120), st.integers(0, 8))
+    def test_extremal_sequence(self, H, extra):
+        # the weighted sum is a^T K a with K the N x N Toeplitz matrix of
+        # max(0, 1 - |h|/H), so a = K^-1 1 makes |sum a|^2 / (a^T K a) its
+        # largest, C* = 1^T K^-1 1, and lhs/rhs = C*/(1 + N/H): within 1% of
+        # 1 (N/(N + 1)) for the multiples N >= 100 of H drawn here
+        linalg = pytest.importorskip("scipy.linalg")
+        N = H * (-(-100 // H) + extra)
+        x = linalg.solve_toeplitz(np.maximum(0.0, 1 - np.arange(N) / H), np.ones(N))
+        cstar = float(x.sum())
+        lhs, rhs = vdc_inequality_check(FiniteSequence(1, x), H)
+        assert lhs <= rhs + 1e-9 * (1 + abs(rhs))
+        assert 0.99 <= cstar / (1 + N / H) <= 1
+        assert lhs / rhs >= 0.99
+
     def test_spike_sequence_tight_at_large_h(self):
         a = FiniteSequence(1, (0.0,) * 10 + (1.0,) + (0.0,) * 10)
         lhs, rhs = vdc_inequality_check(a, 5)
