@@ -38,7 +38,7 @@ from .gauss import (
     near_one_root_number_check,
 )
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
-from .modular import PrimePowerModulus, modulus, sample_units
+from .modular import MAX_MODULUS, PrimePowerModulus, is_prime, modulus, sample_units
 from .moments import moment_report, recipe_params
 from .report import rel_err, render_rows
 from .vdc import (
@@ -95,7 +95,7 @@ def cmd_gauss_verify(args, m: PrimePowerModulus, res: RunResult) -> None:
     taus = gauss_sums(m)
     for c in primitive_exponents(m):
         brute = complex(taus[c])
-        closed = gauss_sum_odoni(DirichletCharacter(m, c)).value
+        closed = gauss_sum_odoni(DirichletCharacter(m, c))
         abs_err = abs(brute - closed)
         res.add(m.p, m.k, m.q, c, brute, closed, abs_err, abs_err / abs(closed))
 
@@ -419,7 +419,10 @@ def check_args(args: argparse.Namespace) -> None:
     if "p" in given and not (args.p and args.k):
         raise ConfigError("empty grid: --p and --k are required here")
     for p in given.get("p", ()):
-        if p < 3 or p % 2 == 0:
+        # the cap first, as in PrimePowerModulus: is_prime trial-divides
+        if p > MAX_MODULUS:
+            raise ConfigError(f"modulus base {p} exceeds the 2^31 cap")
+        if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ConfigError(f"modulus base must be an odd prime, got {p}")
     for k in given.get("k", ()):
         if k < 1:

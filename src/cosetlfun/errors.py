@@ -29,12 +29,8 @@ class PrincipalCharacter(CosetLFunError):
     """Principal character passed where a non-principal one is required."""
 
 
-class OddBase(CosetLFunError):
-    """Coset base character must be even here."""
-
-
 class OddCharacter(CosetLFunError):
-    """Character must be even here."""
+    """Character, or coset base character, must be even here."""
 
 
 class UnsupportedRegime(CosetLFunError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .characters import (
 )
 from .errors import (
     NotPrimitive,
-    OddBase,
+    OddCharacter,
     PreconditionViolated,
     RegimeMismatch,
     UnsupportedRegime,
@@ -41,15 +40,6 @@ from .modular import (
     reduce_mod,
     root_of_unity,
 )
-
-
-@dataclass(frozen=True)
-class GaussSumResult:
-    """A Gauss sum value together with how it was obtained."""
-
-    value: complex
-    method: str
-    q: int
 
 
 def _additive_row(m: PrimePowerModulus, n: int) -> np.ndarray:
@@ -85,15 +75,12 @@ def gauss_sums(m: PrimePowerModulus, n: int = 1) -> np.ndarray:
     return np.fft.ifft(_additive_row(m, n)) * m.phi
 
 
-def gauss_sum_odoni(
-    chi: DirichletCharacter, rep_shift: int = 0
-) -> GaussSumResult:
+def gauss_sum_odoni(chi: DirichletCharacter) -> complex:
     """Closed-form Gauss sum for primitive chi mod p^k, k >= 2.
 
     For k = 2n the sum collapses to p^n chi(t0) e_q(t0) at the single
     residue t0 = -ell mod p^n.  For k = 2n+1 (p >= 5 only) an extra
-    quadratic Gauss factor appears.  The summand only depends on t0 mod
-    p^n; `rep_shift` moves t0 by multiples of p^n to exercise that.
+    quadratic Gauss factor appears.
     """
     m = chi.modulus
     p, k, q = m.p, m.k, m.q
@@ -106,15 +93,14 @@ def gauss_sum_odoni(
     ell = postnikov_ell(chi)
     n_half = k // 2
     pn = p**n_half
-    t0 = (-ell) % pn + rep_shift * pn
+    t0 = (-ell) % pn
     core = chi(t0) * root_of_unity(t0, q)
     if k % 2 == 0:
-        return GaussSumResult(pn * core, "odoni_even", q)
+        return pn * core
     w = (ell + t0) // pn  # integer: t0 = -ell mod p^n
     sign = jacobi_symbol(-2 * ell, p)
     corr = root_of_unity(mod_inverse(2 * ell, p) * w * w, p)
-    value = epsilon_q(p) * pn * math.sqrt(p) * sign * core * corr
-    return GaussSumResult(value, "odoni_odd", q)
+    return epsilon_q(p) * pn * math.sqrt(p) * sign * core * corr
 
 
 def root_number(chi: DirichletCharacter) -> complex:
@@ -176,7 +162,7 @@ def near_one_root_number_check(
 
 def _require_eps_average_spec(spec: CosetSpec):
     if not spec.base.is_even:
-        raise OddBase("epsilon averages are stated for even base characters")
+        raise OddCharacter("epsilon averages are stated for even base characters")
     if spec.parity != "even":
         raise PreconditionViolated("epsilon averages run over the even coset")
     if not 1 <= spec.j < spec.base.modulus.k:

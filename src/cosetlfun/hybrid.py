@@ -71,8 +71,8 @@ class Lemma9Scan:
     max_mass: float = 0.0
     noise_floor: float = 0.0
 
-    def soft_guard_ok(self, factor: float = 3.0) -> bool:
-        """Max off-diagonal ratio within `factor` of the smallest massive cell.
+    def soft_guard_ok(self) -> bool:
+        """Max off-diagonal ratio within 3x that of the smallest massive cell.
 
         The weight chi(alpha + h q0) conj(chi(alpha)) depends on alpha only
         mod q/q0, so S vanishes identically unless q0 | n; grid cells whose
@@ -82,7 +82,7 @@ class Lemma9Scan:
         """
         if self.max_mass <= self.noise_floor:
             return True
-        return self.max_ratio <= factor * self.base_ratio
+        return self.max_ratio <= 3 * self.base_ratio
 
 
 def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:

@@ -269,36 +269,13 @@ def padic_log(x: int, m: PrimePowerModulus) -> int:
     """Unit-normalized p-adic logarithm of x = 1 mod p.
 
     Returns L in [0, p^(k-1)) with log(x) = p*L mod p^k, where log is the
-    alternating series sum (-1)^(i+1) (x-1)^i / i.  Terms are divided by
-    their exact power of p before reduction, so every step stays integral.
+    series sum (-1)^(i+1) (x-1)^i / i, in closed form: log(x) = (x^q - 1)/q
+    mod q.  For odd p, x^q = exp(q log x), and q log x has valuation at
+    least k + 1, so every term (q log x)^n / n! with n >= 2 has valuation at
+    least 2k + 2 (Koblitz, p-adic Numbers, ch. IV): x^q = 1 + q log x mod q^2.
     """
-    p, k, q = m.p, m.k, m.q
+    p, q = m.p, m.q
     x %= q
     if x % p != 1:
         raise NotOneUnit(f"{x} is not 1 mod {p}")
-    if k == 1:
-        return 0
-    y = x - 1
-    # Terms with index beyond i_max have valuation i - v_p(i) >= k and
-    # vanish mod p^k; `slack` digits of head-room keep the exact division
-    # by p^v_p(i) faithful after reduction.
-    slack = 1
-    while p**slack <= k + slack + 2:
-        slack += 1
-    i_max = k + slack + 2
-    big = q * p**slack
-    total = 0
-    power = 1
-    for i in range(1, i_max + 1):
-        v_i = 0
-        u = i
-        while u % p == 0:
-            u //= p
-            v_i += 1
-        power = power * y % big
-        term = power // (p**v_i) * mod_inverse(u, q) % q
-        if i % 2 == 0:
-            term = -term
-        total = (total + term) % q
-    assert total % p == 0, "p-adic log of a 1-unit is divisible by p"
-    return (total // p) % (p ** (k - 1))
+    return (pow(x, q, q * q) - 1) // q % q // p

@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import CosetSpec, DirichletCharacter, coset_exponents
 from .errors import BadShiftBound, PreconditionViolated
-from .modular import PrimePowerModulus, phi_prime_power, reduce_mod
+from .modular import PrimePowerModulus, blocks, phi_prime_power, reduce_mod
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,13 +45,11 @@ class FiniteSequence:
         return self.support_start + self.coefficients.size - 1
 
 
-def random_sequence(
-    length: int, rng: np.random.Generator, support_start: int = 1
-) -> FiniteSequence:
-    """Seeded random coefficients, uniform on the unit square [0,1)+[0,1)i."""
+def random_sequence(length: int, rng: np.random.Generator) -> FiniteSequence:
+    """Seeded coefficients on [1, length], uniform on the square [0,1)+[0,1)i."""
     u = rng.random(length)
     v = rng.random(length)
-    return FiniteSequence(support_start, u + 1j * v)
+    return FiniteSequence(1, u + 1j * v)
 
 
 def _symmetric_shift_sum(arr: np.ndarray, weights: list) -> float:
@@ -104,12 +102,6 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-# largest rows * support length that twisted_sum gathers at once; a coset of
-# phi(q) members at a long support would otherwise need phi * N complex
-# entries and their int64 angles together
-TWIST_BLOCK = 2**16
-
-
 def _support_dlogs(a: FiniteSequence, m: PrimePowerModulus) -> np.ndarray:
     """Index of each n on the support of a, -1 where p | n."""
     return m.dlog[np.arange(a.support_start, a.support_end + 1) % m.q]
@@ -128,7 +120,7 @@ def twisted_sum(a: FiniteSequence, m: PrimePowerModulus, cs) -> np.ndarray:
     """sum_n a_n chi_c(n) over the support, for each exponent c in cs.
 
     One dlog gather of the support serves every c.  Rows are formed and
-    summed in blocks of at most TWIST_BLOCK entries (one row when the
+    summed in `modular.blocks` of at most BLOCK entries (one row when the
     support alone is longer), so memory stays bounded whatever the number of
     exponents.  Each row is its own elementwise product and sum, so its
     value does not depend on the blocking.
@@ -137,11 +129,10 @@ def twisted_sum(a: FiniteSequence, m: PrimePowerModulus, cs) -> np.ndarray:
     d = _support_dlogs(a, m)
     cs = np.asarray(cs, dtype=np.int64) % m.phi
     out = np.empty(cs.size, dtype=np.complex128)
-    step = max(1, TWIST_BLOCK // arr.size)
-    for lo in range(0, cs.size, step):
-        rows = _character_rows(m, d, cs[lo : lo + step])
+    for b in blocks(cs.size, arr.size):
+        rows = _character_rows(m, d, cs[b])
         rows *= arr
-        out[lo : lo + step] = rows.sum(axis=1)
+        out[b] = rows.sum(axis=1)
     return out
 
 

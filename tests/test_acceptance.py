@@ -86,7 +86,7 @@ def test_criterion_02_odoni_closed_forms():
         m = modulus(p, k)
         for c in primitive_exponents(m):
             chi = DirichletCharacter(m, c)
-            closed = gauss_sum_odoni(chi).value
+            closed = gauss_sum_odoni(chi)
             brute = gauss_sum_brute(chi)
             rel = abs(closed - brute) / abs(brute)
             worst = max(worst, rel)

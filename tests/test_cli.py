@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
@@ -122,6 +121,26 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "gauss-verify", "--p", "2", "--k", "3")
         assert code == 2
         assert "config error" in err
+
+    def test_composite_base_rejected_before_any_modulus(self, capsys, monkeypatch):
+        # 9 used to be refused by PrimePowerModulus, after all 10,000
+        # characters of 5^6 had been checked and with no report written
+        built = []
+        monkeypatch.setattr(cli_module, "modulus", lambda p, k: built.append((p, k)))
+        code, out, err = run_cli(capsys, "gauss-verify", "--p", "5", "9", "--k", "6")
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith("config error: modulus base must be an odd prime")
+
+    def test_base_over_the_cap_skips_trial_division(self, capsys, monkeypatch):
+        # 2^61 - 1 is prime: trial division would take about 2^29 steps
+        tested = []
+        monkeypatch.setattr(cli_module, "is_prime", lambda n: tested.append(n) or True)
+        code, out, err = run_cli(
+            capsys, "gauss-verify", "--p", "5", str(2**61 - 1), "--k", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: modulus base 2305843009213693951 exceeds")
+        assert tested == [5]
 
     def test_missing_grid_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify")
@@ -244,7 +263,7 @@ class TestHappyPaths:
         monkeypatch.setattr(
             cli_module,
             "gauss_sum_odoni",
-            lambda chi: SimpleNamespace(value=complex(math.nan, 0.0)),
+            lambda chi: complex(math.nan, 0.0),
         )
         code, out, err = run_cli(capsys, "gauss-verify", "--p", "3", "--k", "2")
         assert code == 1

@@ -17,7 +17,7 @@ from cosetlfun.characters import (
 )
 from cosetlfun.errors import (
     NotPrimitive,
-    OddBase,
+    OddCharacter,
     PreconditionViolated,
     RegimeMismatch,
     UnsupportedRegime,
@@ -34,7 +34,7 @@ from cosetlfun.gauss import (
     near_one_root_number_check,
     root_number,
 )
-from cosetlfun.modular import modulus, sample_units
+from cosetlfun.modular import modulus, root_of_unity, sample_units
 from cosetlfun.report import rel_err
 from oracles import (
     SharedFactor,
@@ -184,8 +184,7 @@ class TestOdoni:
                     continue
                 got = gauss_sum_odoni(chi)
                 want = gauss_sum_brute(chi)
-                assert abs(got.value - want) < 1e-9 * math.sqrt(m.q)
-                assert got.method == "odoni_even"
+                assert abs(got - want) < 1e-9 * math.sqrt(m.q)
 
     def test_odd_k_matches_brute(self):
         for p, k in ((5, 3), (7, 3), (11, 3), (5, 5)):
@@ -197,16 +196,20 @@ class TestOdoni:
                     continue
                 got = gauss_sum_odoni(chi)
                 want = gauss_sum_brute(chi)
-                assert abs(got.value - want) < 1e-9 * math.sqrt(m.q)
-                assert got.method == "odoni_odd"
+                assert abs(got - want) < 1e-9 * math.sqrt(m.q)
 
     def test_representative_shift_invariance(self):
+        # at k = 2n the collapsed summand chi(t) e_q(t) has period p^n in t,
+        # so any representative of t0 = -ell mod p^n gives the closed form
         m = modulus(5, 4)
         chi = DirichletCharacter(m, 3)
-        base = gauss_sum_odoni(chi).value
+        pn = 5**2
+        t0 = -postnikov_ell(chi) % pn
+        base = chi(t0) * root_of_unity(t0, m.q)
+        assert abs(gauss_sum_odoni(chi) - pn * base) < 1e-9 * math.sqrt(m.q)
         for shift in (1, 2, -1, 7):
-            moved = gauss_sum_odoni(chi, rep_shift=shift).value
-            assert abs(moved - base) < 1e-9 * math.sqrt(m.q)
+            t = (t0 + shift * pn) % m.q
+            assert abs(chi(t) * root_of_unity(t, m.q) - base) < 1e-9
 
     def test_unsupported_regimes(self):
         with pytest.raises(UnsupportedRegime):
@@ -399,9 +402,9 @@ class TestCosetEpsilonAverage:
     def test_rejects_odd_base(self):
         m = modulus(5, 4)
         spec = CosetSpec(DirichletCharacter(m, 3), 2, "even")
-        with pytest.raises(OddBase):
+        with pytest.raises(OddCharacter):
             coset_epsilon_average(spec, [1])
-        with pytest.raises(OddBase):
+        with pytest.raises(OddCharacter):
             coset_epsilon_average(spec, [])
 
     def test_rejects_wrong_parity_filter(self):

@@ -233,8 +233,11 @@ class TestLemma9Scan:
 
     def test_guard_factor_sensitivity(self):
         scan = lemma9_scan(modulus(3, 4), 1, 16, 16)
-        assert scan.soft_guard_ok(factor=1e9)
-        assert not scan.soft_guard_ok(factor=1e-9)
+        assert scan.max_mass > scan.noise_floor
+        scan.max_ratio = 3 * scan.base_ratio
+        assert scan.soft_guard_ok()
+        scan.max_ratio = 3.001 * scan.base_ratio
+        assert not scan.soft_guard_ok()
 
 
 class TestHybridQuadrature:

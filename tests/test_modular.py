@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,3 +347,17 @@ class TestPadicLog:
 
     def test_k_equals_one_degenerates(self):
         assert padic_log(1, modulus(7, 1)) == 0
+
+    @given(st.data())
+    def test_closed_form_up_to_the_cap(self, data):
+        # a stand-in carrying p, k and q: a PrimePowerModulus at these sizes
+        # would build, or refuse, q-length tables
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 101]))
+        k = data.draw(st.integers(1, max(k for k in range(1, 32) if p**k < MAX_MODULUS)))
+        m = SimpleNamespace(p=p, k=k, q=p**k)
+        x, y = (
+            1 + p * data.draw(st.integers(0, p ** (k - 1) - 1)) for _ in range(2)
+        )
+        assert padic_log(x, m) == padic_log_oracle(x, p, k)
+        lhs = padic_log(x * y, m)
+        assert lhs == (padic_log(x, m) + padic_log(y, m)) % p ** (k - 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosetlfun import vdc
+from cosetlfun import modular, vdc
 from cosetlfun.characters import (
     CosetSpec,
     DirichletCharacter,
@@ -317,11 +317,11 @@ class TestBatchedTwistedSum:
     def test_blocks_do_not_change_bits(self, monkeypatch):
         m = modulus(5, 3)
         chi = DirichletCharacter(m, 3)
-        a = random_sequence(70, np.random.default_rng(6), support_start=-12)
+        a = FiniteSequence(-12, random_sequence(70, np.random.default_rng(6)).coefficients)
         whole = twisted_sum(a, m, range(m.phi))
         identity = coset_shift_identity(a, chi, 2)
         # 3 rows per block, so the 20-member coset takes 7 blocks
-        monkeypatch.setattr(vdc, "TWIST_BLOCK", 3 * len(a))
+        monkeypatch.setattr(modular, "BLOCK", 3 * len(a))
         assert np.array_equal(twisted_sum(a, m, range(m.phi)), whole)
         assert coset_shift_identity(a, chi, 2) == identity
 
