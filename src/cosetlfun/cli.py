@@ -38,7 +38,14 @@ from .gauss import (
     near_one_root_number_check,
 )
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
-from .modular import MAX_MODULUS, PrimePowerModulus, is_prime, modulus, sample_units
+from .modular import (
+    MAX_MODULUS,
+    PrimePowerModulus,
+    check_size,
+    is_prime,
+    modulus,
+    sample_units,
+)
 from .moments import moment_report, recipe_params
 from .report import rel_err, render_rows
 from .vdc import (
@@ -92,6 +99,10 @@ def cmd_gauss_verify(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Closed-form Gauss sums against the direct character sum, all primitive
     chi.  The brute_* columns hold that sum, evaluated for every chi of a
     modulus at once by one FFT in generator order (`gauss_sums`)."""
+    # the closed forms read dlog.  Built here, before the transform, it is
+    # placed as when every modulus built it up front; built among the rows,
+    # it left this run (5^6) at 0.2 MiB more peak RSS
+    m.dlog
     taus = gauss_sums(m)
     for c in primitive_exponents(m):
         brute = complex(taus[c])
@@ -242,7 +253,7 @@ def cmd_lemma9(args, m: PrimePowerModulus, res: RunResult) -> None:
         if not scan.soft_guard_ok():
             res.soft_warnings.append(
                 f"lemma9 q={m.q} j={j}: max ratio {scan.max_ratio:.3f} "
-                f"exceeds 3x base {scan.base_ratio:.3f}"
+                f"exceeds {scan.GUARD_FACTOR}x base {scan.base_ratio:.3f}"
             )
 
 
@@ -427,6 +438,9 @@ def check_args(args: argparse.Namespace) -> None:
     for k in given.get("k", ()):
         if k < 1:
             raise ConfigError(f"exponent must be >= 1, got {k}")
+    # the cap and the table memory of every modulus, before the first is built
+    for p, k in itertools.product(given.get("p", ()), given.get("k", ())):
+        check_size(p, k)
     if not given.get("tolerance", 1.0) > 0:
         raise ConfigError(f"tolerance must be positive, got {args.tolerance}")
     for key in ("m_samples", "trials"):

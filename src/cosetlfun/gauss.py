@@ -18,6 +18,7 @@ import numpy as np
 from .characters import (
     CosetSpec,
     DirichletCharacter,
+    character_sums,
     character_with_ell,
     classify_regime,
     enumerate_coset,
@@ -67,12 +68,11 @@ def gauss_sums(m: PrimePowerModulus, n: int = 1) -> np.ndarray:
     """tau(chi_c, n) for every exponent c in [0, phi), indexed by c.
 
     With the units in generator order t = g^i, chi_c(g^i) = e(ci/phi), so
-    tau(chi_c, n) = sum_i e(ci/phi) e_q(n g^i) is one length-phi inverse DFT
-    (numpy's ifft divides by phi, hence the factor).  Each input term is an
-    exactly reduced table root of unity, as in `gauss_sum_brute`; the only
-    new rounding is the FFT's.
+    tau(chi_c, n) = sum_i e(ci/phi) e_q(n g^i) is one `character_sums`
+    transform.  Each input term is an exactly reduced table root of unity,
+    as in `gauss_sum_brute`; the only new rounding is the FFT's.
     """
-    return np.fft.ifft(_additive_row(m, n)) * m.phi
+    return character_sums(_additive_row(m, n))
 
 
 def gauss_sum_odoni(chi: DirichletCharacter) -> complex:

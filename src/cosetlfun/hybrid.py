@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,9 +71,12 @@ class Lemma9Scan:
     max_ratio: float = 0.0
     max_mass: float = 0.0
     noise_floor: float = 0.0
+    # the soft guard's allowance over the base ratio, read by its warning too
+    GUARD_FACTOR: ClassVar[float] = 3
 
     def soft_guard_ok(self) -> bool:
-        """Max off-diagonal ratio within 3x that of the smallest massive cell.
+        """Max off-diagonal ratio within GUARD_FACTOR times that of the
+        smallest massive cell.
 
         The weight chi(alpha + h q0) conj(chi(alpha)) depends on alpha only
         mod q/q0, so S vanishes identically unless q0 | n; grid cells whose
@@ -82,7 +86,7 @@ class Lemma9Scan:
         """
         if self.max_mass <= self.noise_floor:
             return True
-        return self.max_ratio <= 3 * self.base_ratio
+        return self.max_ratio <= self.GUARD_FACTOR * self.base_ratio
 
 
 def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:

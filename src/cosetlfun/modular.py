@@ -116,6 +116,31 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def require_memory(what: str, nbytes: int) -> None:
+    """Refuse, before anything is allocated, `nbytes` of arrays that would
+    exceed the physical memory; `what` names them in the message."""
+    if nbytes > _physical_memory():
+        raise InvalidModulus(
+            f"{what} need {nbytes} bytes, more than the physical memory"
+        )
+
+
+def table_bytes(p: int, k: int) -> int:
+    """Bytes of the five unit tables mod p^k: dlog 8q and powers 8 phi
+    (int64), q_roots 16q, phi_roots 16 phi and power_roots 16 phi
+    (complex128)."""
+    return 24 * p**k + 40 * phi_prime_power(p, k)
+
+
+def check_size(p: int, k: int) -> None:
+    """Refuse q = p^k, for p >= 3, above the 2^31 cap or with unit tables
+    beyond the physical memory.  p >= 3 puts p^k above the cap for every
+    k >= 32, so a huge k is refused before p**k is formed."""
+    if k >= MAX_MODULUS.bit_length() or p**k > MAX_MODULUS:
+        raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
+    require_memory(f"the unit tables mod {p}^{k}", table_bytes(p, k))
+
+
 def reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m, in place and returned, for an int64 array x: x - (x // m) m.
 
@@ -156,42 +181,28 @@ def _geometric_powers(g: int, n: int, q: int) -> np.ndarray:
 class PrimePowerModulus:
     """An odd prime power q = p^k with a fixed generator g of (Z/q)*.
 
-    `powers` (g^i mod q, i < phi) and its inverse `dlog` (the index of each
-    residue, -1 off the units) are built eagerly: O(q) memory, refused before
-    allocation when they and the three root tables would exceed the physical
-    memory.  The root tables are built on first use, `phi_roots` in blocks.
+    `powers` (g^i mod q, i < phi) is the one table built up front.  Its
+    inverse `dlog` (the index of each residue, -1 off the units) and the
+    three root tables are built on first read, `phi_roots` in blocks.  All
+    five are priced by `check_size` before anything is allocated: O(q)
+    memory, refused when it would exceed the physical memory.
     """
 
     def __init__(self, p: int, k: int):
         if k < 1:
             raise InvalidModulus(f"exponent must be >= 1, got {k}")
-        # p >= 3 puts p^k above the cap for every k >= 32, so a huge k is
-        # refused before p**k is formed; the cap comes before the primality
-        # test, whose trial division takes up to sqrt(p)/2 steps
-        if p >= 3 and (k >= MAX_MODULUS.bit_length() or p**k > MAX_MODULUS):
-            raise InvalidModulus(f"q = {p}^{k} exceeds the 2^31 cap")
+        # the cap comes before the primality test, whose trial division
+        # takes up to sqrt(p)/2 steps
+        if p >= 3:
+            check_size(p, k)
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise InvalidModulus(f"{p} is not an odd prime")
-        q = p**k
-        phi = phi_prime_power(p, k)
-        # dlog 8q and powers 8 phi (int64); q_roots 16q, phi_roots 16 phi
-        # and power_roots 16 phi (complex128)
-        table_bytes = 24 * q + 40 * phi
-        if table_bytes > _physical_memory():
-            raise InvalidModulus(
-                f"the unit tables mod {p}^{k} need {table_bytes} bytes, "
-                "more than the physical memory"
-            )
         self.p = p
         self.k = k
-        self.q = q
-        self.phi = phi
+        self.q = p**k
+        self.phi = phi_prime_power(p, k)
         self.generator = self._least_generator()
-        self.powers = _geometric_powers(self.generator, phi, q)
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[self.powers] = np.arange(phi)
-        dlog.setflags(write=False)
-        self.dlog = dlog
+        self.powers = _geometric_powers(self.generator, self.phi, self.q)
 
     def _least_generator(self) -> int:
         # A generator mod p^2 generates mod every p^k (p odd), so testing
@@ -216,6 +227,15 @@ class PrimePowerModulus:
 
     def __hash__(self) -> int:
         return hash((self.p, self.k))
+
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        """Index of each residue mod q to the fixed generator, -1 off the
+        units, read-only: `powers` inverted by one scatter."""
+        out = np.full(self.q, -1, dtype=np.int64)
+        out[self.powers] = np.arange(self.phi)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def phi_roots(self) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 
 from cosetlfun import lcentral, modular
 from cosetlfun.characters import DirichletCharacter
+from cosetlfun.batched import l_values
 from cosetlfun.lcentral import _zeta_grid, l_value
 from cosetlfun.modular import PrimePowerModulus, modulus
 from conftest import forced_route
@@ -91,3 +92,13 @@ def test_l_value_adds_one_table():
     l_value(chi, 11.0)
     peak = traced_peak(lambda: l_value(chi, 11.0))
     assert peak <= 16 * m.q + 4 * BLOCK_BYTES
+
+
+def test_l_values_adds_row_and_output():
+    # the gathered row, the transform's output and a few blocks above the
+    # cached grid; the pocketfft plan and its scratch are outside the
+    # Python allocator and not counted here
+    m = modulus(3, 10)
+    l_values(m, 11.0)
+    peak = traced_peak(lambda: l_values(m, 11.0))
+    assert peak <= 32 * m.phi + 4 * BLOCK_BYTES

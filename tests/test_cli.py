@@ -13,7 +13,8 @@ import cosetlfun.cli as cli_module
 import cosetlfun.modular as modular_module
 from cosetlfun.characters import DirichletCharacter, even_primitive_exponents
 from cosetlfun.cli import SUBCOMMANDS, build_parser, main
-from cosetlfun.modular import modulus
+from cosetlfun.hybrid import Lemma9Scan
+from cosetlfun.modular import PrimePowerModulus, modulus
 from cosetlfun.moments import moment_report
 from cosetlfun.report import render_rows
 
@@ -141,6 +142,30 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert err.startswith("config error: modulus base 2305843009213693951 exceeds")
         assert tested == [5]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gauss-verify", "--p", "5", "--k", "2", "20"], "q = 5^20 exceeds the 2^31 cap"),
+            (["moment", "--p", "3", "5", "--k", "4", "14", "--j", "2"], "q = 5^14 exceeds"),
+        ],
+    )
+    def test_grid_over_the_cap_rejected_before_any_modulus(self, argv, message, capsys, monkeypatch):
+        # 5^20 used to be refused by PrimePowerModulus, after all of 5^2 had
+        # been checked and with no report written
+        built = []
+        monkeypatch.setattr(cli_module, "modulus", lambda p, k: built.append((p, k)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith(f"error: InvalidModulus: {message}")
+
+    def test_grid_tables_over_memory_rejected_before_any_modulus(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli_module, "modulus", lambda p, k: built.append((p, k)))
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 8 * 2**30)
+        code, out, err = run_cli(capsys, "gauss-verify", "--p", "3", "--k", "2", "18")
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith("error: InvalidModulus: the unit tables mod 3^18 need")
 
     def test_missing_grid_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify")
@@ -349,6 +374,40 @@ class TestHappyPaths:
         assert len(rows) == 1
         drift = float(rows[0]["quadrature_drift"])
         assert drift < 0.01
+
+
+class TestLemma9Warning:
+    def test_warning_states_the_guard_factor(self, capsys, monkeypatch):
+        # below 1 the guard fails on every massive scan; the warning must
+        # name the factor the guard used
+        monkeypatch.setattr(Lemma9Scan, "GUARD_FACTOR", 0.5)
+        code, _, err = run_cli(capsys, "lemma9", "--p", "3", "--k", "4", "--j", "1")
+        assert code == 0
+        assert "exceeds 0.5x base" in err
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["hybrid", "--p", "3", "--k", "5", "--j", "1"], False),
+            (["lemma9", "--p", "3", "--k", "5", "--j", "1"], False),
+            (["moment", "--p", "3", "--k", "4", "--j", "2"], True),
+            (["gauss-verify", "--p", "3", "--k", "4"], True),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_dlog_built_only_where_read(self, argv, built, capsys, monkeypatch):
+        # on a fresh modulus: the L-value and character-sum paths read
+        # powers only; the closed forms and logarithm parameters read dlog
+        fresh = []
+        monkeypatch.setattr(
+            cli_module, "modulus",
+            lambda p, k: fresh.append(PrimePowerModulus(p, k)) or fresh[-1],
+        )
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [("dlog" in vars(m)) for m in fresh] == [built]
 
 
 class TestMomentCommand:

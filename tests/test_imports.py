@@ -2,7 +2,10 @@
 from the module that defines it, and the package itself imports nothing."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +54,23 @@ def test_relative_imports_name_their_definition(path):
                     f"{path.name}:{node.lineno} imports {alias.name} from "
                     f".{node.module}, which does not define it"
                 )
+
+
+def test_cli_import_loads_neither_fft_nor_random():
+    # numpy.fft (about 0.56 MiB and 1.5 ms) and numpy.random (about 6 MiB)
+    # are reached only inside the calls that use them, and no subcommand
+    # reads cosetlfun.batched, which every child would otherwise compile
+    script = (
+        "import sys, cosetlfun.cli\n"
+        "names = ('numpy.fft', 'numpy.random', 'cosetlfun.batched')\n"
+        "print(sorted(m for m in names if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

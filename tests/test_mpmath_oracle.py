@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import forced_route
 from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
+from cosetlfun.batched import l_values
 from cosetlfun.lcentral import _power, l_value
 from cosetlfun.modular import modulus
 from cosetlfun.moments import empirical_coset_moment
@@ -49,6 +50,26 @@ def test_l_value_within_reported_bound(p, k, c, t):
     chi = DirichletCharacter(modulus(p, k), c)
     lv = l_value(chi, t)
     assert abs(lv.value - complex(mp_l_value(mpmath, chi, t))) <= lv.abs_error_bound
+
+
+@pytest.mark.parametrize(
+    "p, k, t",
+    [(3, 4, 0.0), (5, 2, 0.0), (7, 2, 0.0), (3, 3, 6.0), (3, 4, 10.0), (5, 3, 11.0), (7, 2, 20.0)],
+)
+def test_l_values_within_reported_bound(p, k, t):
+    # every non-principal character from one transform, against the same
+    # 30-digit sums as l_value, each zeta(s, a/q) computed once
+    mpmath = pytest.importorskip("mpmath")
+    m = modulus(p, k)
+    vals, bound = l_values(m, t)
+    with mpmath.workdps(30):
+        s = mpmath.mpc(0.5, t)
+        zeta = [mpmath.zeta(s, mpmath.mpf(int(a)) / m.q) for a in m.powers]
+        roots = [mpmath.expjpi(mpmath.mpf(2 * j) / m.phi) for j in range(m.phi)]
+        scale = mpmath.power(m.q, -s)
+        for c in range(1, m.phi):
+            want = scale * mpmath.fsum(roots[c * i % m.phi] * z for i, z in enumerate(zeta))
+            assert abs(vals[c] - complex(want)) <= bound, c
 
 
 @pytest.mark.parametrize(
