@@ -72,7 +72,7 @@ def l_values(m: PrimePowerModulus, t: float = 0.0) -> tuple[np.ndarray, float]:
     )
     fft_rel = fft_rounding(m.phi)
     s = 0.5 + 1j * float(t)
-    zg, tail, abs_sum = _zeta_grid(m.q, float(t))
+    zg, tail, rounding = _zeta_grid(m.q, float(t))
     out = character_sums(zg.take(m.powers - 1))  # zeta(s, a/q) sits at a - 1
     # sqrt(phi) ||row||_2 is the exact transform's 2-norm, at most the
     # computed one over 1 - fft_rel; the computed norm's own rounding, a
@@ -84,5 +84,4 @@ def l_values(m: PrimePowerModulus, t: float = 0.0) -> tuple[np.ndarray, float]:
     scale = m.q ** (-s)
     out *= scale
     out[0] = np.nan
-    rounding = (math.log2(m.q) + 4) * 2**-52 * abs_sum
     return out, abs(scale) * (m.phi * tail + rounding + fft)

@@ -140,8 +140,6 @@ def cmd_ratio(args, m: PrimePowerModulus, res: RunResult) -> None:
         chi1 = DirichletCharacter(m, c1)
         for d in range(0, m.phi, step):
             c2 = (c1 - d) % m.phi
-            if c2 % m.p == 0:
-                continue
             chi2 = DirichletCharacter(m, c2)
             for tw in twists:
                 brute, closed = gauss_ratio_check(chi1, chi2, tw)

@@ -266,7 +266,7 @@ def _taylor_grid(t: float, q: int, centres: int) -> tuple[np.ndarray, float]:
     rising-factorial steps and one product another 1 + theta_{5n+3}.  As on
     the Euler-Maclaurin route, whose tail counts truncation only, the
     rounding inside each Euler-Maclaurin value, of the term n = 0 and of the
-    final sum is not counted in the tail; `l_value`'s per-value allowance
+    final sum is not counted in the tail; `_zeta_grid`'s rounding allowance
     stands for it.
     """
     s = complex(0.5, t)
@@ -321,8 +321,8 @@ def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
     """zeta(1/2 + it, a/q) for a = 1..q, the shared grid for one modulus,
     by the route `grid_route` picks.
 
-    Returns (values, uniform tail bound, sum of |values|), the last for
-    rounding-error accounting.
+    Returns (values, uniform tail bound, rounding allowance): the last is
+    (log2 q + 4) 2^-52 sum |values|, for one grid sum with weights |w| <= 1.
     """
     _zeta_grid.cache_clear()
     centres = grid_route(q, t)
@@ -332,7 +332,7 @@ def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
         x = np.arange(1, q + 1, dtype=np.float64) / q
         vals, bound = _em_hurwitz(0.5 + 1j * t, x)
     vals.setflags(write=False)
-    return vals, bound, float(np.abs(vals).sum())
+    return vals, bound, (math.log2(q) + 4) * 2**-52 * float(np.abs(vals).sum())
 
 
 @dataclass(frozen=True)
@@ -349,11 +349,10 @@ def l_value(chi: DirichletCharacter, t: float = 0.0) -> LValue:
         raise PrincipalCharacter("central values here are for chi != chi_0")
     m = chi.modulus
     s = 0.5 + 1j * float(t)
-    zg, tail, abs_sum = _zeta_grid(m.q, float(t))
+    zg, tail, rounding = _zeta_grid(m.q, float(t))
     table = chi.value_table()
     # a runs over 1..q-1 (chi(q) = 0 kills the endpoint), in place in our own table
     total = complex(np.multiply(table[1:], zg[:-1], out=table[1:]).sum())
-    rounding = (math.log2(m.q) + 4) * 2**-52 * abs_sum
     scale = m.q ** (-s)
     return LValue(scale * total, abs(scale) * (m.phi * tail + rounding))
 

@@ -279,9 +279,10 @@ class PrimePowerModulus:
         return d
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def modulus(p: int, k: int) -> PrimePowerModulus:
-    """Shared immutable modulus instances; tables are built once."""
+    """The shared immutable modulus, its tables built once.  A grid runs one
+    modulus at a time, so only the last one is kept."""
     return PrimePowerModulus(p, k)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     PreconditionViolated,
     RegimeMismatch,
 )
+from .gauss import eps_regimes
 from .lcentral import digamma, euler_gamma, l_value
 from .modular import (
     PrimePowerModulus,
@@ -96,15 +97,15 @@ def predict_D(m: PrimePowerModulus, j: int) -> float:
 def predict_A(
     chi: DirichletCharacter, j: int, retain_phase: bool = False
 ) -> float:
-    """Secondary term in the window j < k <= 2j.
+    """Secondary term where `eps_regimes` is linear: the window j < k <= 2j.
 
     (phi(q0)/q0) q^(1/2) d(|a|)/|a|^(1/2); the discarded unimodular phase
     e_q(-a) can be retained as cos(2 pi a / q) for experiments.
     """
-    params = recipe_params(chi, j)
-    if params.regime not in ("thm11", "both"):
+    params, m = recipe_params(chi, j), chi.modulus
+    if "linear" not in eps_regimes(m.p, m.k, j):
         raise RegimeMismatch(f"window {params.regime} does not give this term")
-    return _secondary_A(chi.modulus, j, params, retain_phase)
+    return _secondary_A(m, j, params, retain_phase)
 
 
 def _secondary_A(
@@ -122,23 +123,21 @@ def _secondary_A(
 def predict_A_prime(
     chi: DirichletCharacter, j: int, retain_phase: bool = False
 ) -> float:
-    """Secondary term in the window 2j <= k <= 3j, p >= 5.
+    """Secondary term where `eps_regimes` is quadratic: 2j <= k <= 3j, p >= 5.
 
     (2a|q) phi(q0) d(|b|)/|b|^(1/2) times cos (q = 1 mod 4) or sin
     (q = 3 mod 4) of 2 pi (2a)^(-1) (a-b)^2 / q.  At k = 2j this reduces,
     bit for bit, to the other window's term.
     """
-    params = recipe_params(chi, j)
-    if params.regime not in ("thm12", "both"):
-        raise RegimeMismatch(f"window {params.regime} does not give this term")
-    return _secondary_A_prime(chi.modulus, j, params, retain_phase)
+    params, m = recipe_params(chi, j), chi.modulus
+    if "quadratic" not in eps_regimes(m.p, m.k, j):
+        raise RegimeMismatch(f"window {params.regime} at p = {m.p} gives no such term")
+    return _secondary_A_prime(m, j, params, retain_phase)
 
 
 def _secondary_A_prime(
     m: PrimePowerModulus, j: int, params: RecipeParams, retain_phase: bool
 ) -> float:
-    if m.p < 5:
-        raise RegimeMismatch(f"the window 2j <= k <= 3j needs p >= 5, got p = {m.p}")
     a, b = params.a_chi, params.b_chi
     abs_b = abs(b)
     jac = jacobi_symbol(2 * a, m.q)
@@ -165,20 +164,21 @@ class MomentPrediction:
 def predict_moment(
     chi: DirichletCharacter, j: int, retain_phase: bool = False
 ) -> MomentPrediction:
-    """The window picks the secondary term and the size of the theorem's
-    error term, reported for context next to residuals."""
+    """The closed form of the coset epsilon average (`eps_regimes`) picks the
+    secondary term and the size of the theorem's error term."""
     params = recipe_params(chi, j)
     m = chi.modulus
     q0 = params.q0
-    if params.regime in ("thm11", "both"):
+    regimes = eps_regimes(m.p, m.k, j)
+    if "linear" in regimes:
         # at k = 2j both windows' terms agree; this one also covers p = 3
         secondary = _secondary_A(m, j, params, retain_phase)
         scale = m.q ** (-0.125) * q0
-    elif params.regime == "thm12":
+    elif "quadratic" in regimes:
         secondary = _secondary_A_prime(m, j, params, retain_phase)
         scale = q0 ** (-0.25) * math.sqrt(m.q)
     else:
-        raise RegimeMismatch(f"(k, j) = ({m.k}, {j}) fits no window")
+        raise RegimeMismatch(f"(k, j) = ({m.k}, {j}) fits no window at p = {m.p}")
     return MomentPrediction(
         D=predict_D(m, j),
         secondary=secondary,

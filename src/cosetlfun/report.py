@@ -1,10 +1,10 @@
 """Relative error and deterministic CSV / JSON-lines serialization.
 
 Output files are meant to be byte-reproducible for a fixed configuration:
-rows are emitted in a sorted or otherwise fixed order by the callers and
-floats are printed with 17 significant digits (exact double round-trip;
-JSON lines name the non-finite ones NaN, Infinity and -Infinity, and
-escape str cells, as `json.dumps` does).  A report is a pair (keys, rows):
+rows are emitted in a sorted or otherwise fixed order by the callers.  CSV
+prints floats with 17 significant digits; JSON lines print floats (2.0,
+-0.0, 1e+16, NaN, Infinity) and escape str cells as `json.dumps` does.
+Both give back the exact double.  A report is a pair (keys, rows):
 each row is a tuple of values in key order, and a complex value fills a
 key_re, key_im column pair.
 """
@@ -42,7 +42,7 @@ def _json_text(v):
     if isinstance(v, complex):
         return _JsonText(f"[{_json_text(v.real)}, {_json_text(v.imag)}]")
     if isinstance(v, float):
-        s = format(v, ".17g")
+        s = str(v)
         return _JsonText(_JSON_NONFINITE.get(s, s))
     return v
 
@@ -50,9 +50,9 @@ def _json_text(v):
 def _line(types: tuple, keys: list | None = None):
     """The line of a row whose cells have these types, as a function of its
     cells: a CSV record, or with keys a JSON object.  A float or complex
-    part gets 17 digits, a str is quoted (a `_JsonText` copied), a JSON bool
-    is true/false, and any other cell is str(); JSON refuses a type it has
-    no form for."""
+    part gets 17 digits in CSV and str() in JSON, a str is quoted (a
+    `_JsonText` copied), a JSON bool is true/false, and any other cell is
+    str(); JSON refuses a type it has no form for."""
     jsonl = keys is not None
     if jsonl:
         from json import JSONEncoder  # only a JSON report loads json
@@ -62,16 +62,16 @@ def _line(types: tuple, keys: list | None = None):
     for i, t in enumerate(types[: len(keys)] if jsonl else types):
         cell = f"{{{i}!s}}"
         if jsonl and issubclass(t, complex):
-            cell = f"[{{{i}.real:.17g}}, {{{i}.imag:.17g}}]"
+            cell = f"[{{{i}.real!s}}, {{{i}.imag!s}}]"
         elif issubclass(t, complex):
             cell = f"{{{i}.real:.17g}},{{{i}.imag:.17g}}"
-        elif issubclass(t, float):
+        elif issubclass(t, float) and not jsonl:
             cell = f"{{{i}:.17g}}"
         elif issubclass(t, str) and t is not _JsonText:
             convert[i] = json_str if jsonl else _csv_str
         elif jsonl and t is bool:
             convert[i] = {True: "true", False: "false"}.get
-        elif jsonl and not issubclass(t, (int, _JsonText)):
+        elif jsonl and not issubclass(t, (int, float, _JsonText)):
             raise TypeError(f"cannot serialize {t}")
         if jsonl:
             cell = '"' + keys[i].replace("{", "{{").replace("}", "}}") + '": ' + cell

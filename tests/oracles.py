@@ -18,7 +18,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
+from cosetlfun.characters import (
+    CosetSpec,
+    DirichletCharacter,
+    classify_regime,
+    enumerate_coset,
+)
 from cosetlfun.errors import (
     BadShiftBound,
     CosetLFunError,
@@ -73,6 +78,23 @@ def eps_regimes_oracle(p: int, k: int, j: int) -> list:
     if p >= 5 and -(-k // 3) <= j <= k // 2:
         out.append("quadratic")
     return out
+
+
+# The windows of the secondary terms as `moments` stated them before it read
+# `gauss.eps_regimes`: A on the first, A' on the second for p >= 5, and
+# `predict_moment` took A wherever both held.
+A_WINDOWS = ("thm11", "both")
+A_PRIME_WINDOWS = ("thm12", "both")
+
+
+def secondary_terms_oracle(p: int, k: int, j: int) -> tuple:
+    """The terms `predict_A`, `predict_A_prime` and `predict_moment` give at
+    level j mod p^k by those windows: "A", "A'", or None where the
+    function raises RegimeMismatch."""
+    window = classify_regime(k, j)
+    a = "A" if window in A_WINDOWS else None
+    a_prime = "A'" if window in A_PRIME_WINDOWS and p >= 5 else None
+    return a, a_prime, a or a_prime
 
 
 def shifted_autocorrelation(a: FiniteSequence, h: int) -> complex:
@@ -329,7 +351,7 @@ def _json_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _fmt17(v) if math.isfinite(v) else json.dumps(float(v))
+        return json.dumps(float(v))
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(u) for u in v) + "]"
     raise TypeError(f"cannot serialize {type(v)}")
@@ -349,7 +371,7 @@ def _csv_cells(d: dict) -> list:
 def render_rows_oracle(dicts: list[dict], fmt: str) -> str:
     """Dict rows as 'csv' (through csv.writer) or 'jsonl' text: the report
     renderer as it was before rows became tuples, with each JSON value that
-    is not a finite float, a number or a bool written by json.dumps."""
+    is not an int or a bool written by json.dumps."""
     if fmt == "jsonl":
         return "".join(
             "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in d.items()) + "}\n"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -408,6 +409,18 @@ class TestWorkingSet:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert [("dlog" in vars(m)) for m in fresh] == [built]
+
+    def test_grid_keeps_one_modulus(self, capsys, monkeypatch):
+        # the cache holds the last modulus only, so a grid releases the
+        # tables of each modulus once the next one is built
+        used = []
+        monkeypatch.setattr(
+            cli_module, "modulus",
+            lambda p, k: used.append(weakref.ref(modulus(p, k))) or used[-1](),
+        )
+        code, _, _ = run_cli(capsys, "gauss-verify", "--p", "5", "--k", "2", "3")
+        assert code == 0
+        assert [ref() is None for ref in used] == [True, False]
 
 
 class TestMomentCommand:

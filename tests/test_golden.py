@@ -6,13 +6,19 @@ one small invocation per subcommand, so a change that moves any report byte
 has to rewrite the file and say so.  To record a file again:
 
     PYTHONPATH=src python -m cosetlfun.cli ARGS... > tests/golden/NAME.csv
+
+The same invocations with --format jsonl must write JSON that json.loads
+reads, with every float cell read back as a float.
 """
 
+import json
 import pathlib
 
 import pytest
 
+import cosetlfun.cli as cli_module
 from cosetlfun.cli import SUBCOMMANDS, main
+from cosetlfun.report import render_rows
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -48,3 +54,28 @@ def test_report_bytes_match_golden(name, capsys):
         pytest.fail(
             f"{name}.csv: {len(want_lines)} golden lines, {len(got_lines)} now"
         )
+
+
+def _json_type_ok(cell, value) -> bool:
+    if isinstance(cell, complex):
+        return isinstance(value, list) and all(isinstance(v, float) for v in value)
+    return isinstance(value, float) if isinstance(cell, float) else True
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_jsonl_report_parses(name, capsys, monkeypatch):
+    tables = []
+    monkeypatch.setattr(
+        cli_module, "render_rows",
+        lambda table, fmt: tables.append(table) or render_rows(table, fmt),
+    )
+    code = main([name, *INVOCATIONS[name], "--format", "jsonl"])
+    out = capsys.readouterr().out
+    assert code == 0
+    [(keys, rows)] = tables
+    lines = out.split("\n")
+    assert lines.pop() == "" and len(lines) == len(rows) > 0
+    for line, row in zip(lines, rows):
+        back = json.loads(line)
+        assert list(back) == keys
+        assert all(map(_json_type_ok, row, back.values())), line

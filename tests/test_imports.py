@@ -1,5 +1,6 @@
 """Each library name has one import path: a module imports a name only
-from the module that defines it, and the package itself imports nothing."""
+from the module that defines it, and the package itself imports nothing.
+The coset windows are named in one place too."""
 
 import ast
 import os
@@ -54,6 +55,19 @@ def test_relative_imports_name_their_definition(path):
                     f"{path.name}:{node.lineno} imports {alias.name} from "
                     f".{node.module}, which does not define it"
                 )
+
+
+def test_window_names_only_where_the_windows_are_stated():
+    # `characters.classify_regime` names the windows and `gauss.eps_regimes`
+    # maps them to closed forms; every other module reads eps_regimes
+    names = {"thm11", "thm12", "both"}
+    found = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Constant) and node.value in names
+    }
+    assert found == {"characters.py", "gauss.py"}
 
 
 def test_cli_import_loads_neither_fft_nor_random():

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cosetlfun import moments
 from cosetlfun.characters import (
     CosetSpec,
     DirichletCharacter,
@@ -27,6 +29,7 @@ from cosetlfun.modular import (
     signed_lift,
 )
 from cosetlfun.moments import (
+    RecipeParams,
     empirical_coset_moment,
     moment_report,
     predict_A,
@@ -35,7 +38,7 @@ from cosetlfun.moments import (
     predict_moment,
     recipe_params,
 )
-from oracles import l_series_oracle
+from oracles import l_series_oracle, secondary_terms_oracle
 
 
 class TestClassifyRegime:
@@ -323,3 +326,32 @@ class TestMomentReport:
         )
         with pytest.raises(RegimeMismatch, match=r"\(k, j\) = \(4, 1\) fits no window"):
             predict_moment(DirichletCharacter(modulus(3, 4), 2), 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_secondary_terms_follow_the_window_table(p, monkeypatch):
+    # every (k, j) with 2 <= k <= 9: each function gives the term, or raises,
+    # where the windows once stated in moments.py say.  The recipe parameters
+    # and the terms are stubbed, so no modulus is built (7^9 would need GBs)
+    def params(chi, j):
+        m = chi.modulus
+        return RecipeParams(m.q, m.p**j, 1, 1, 1, classify_regime(m.k, j))
+
+    monkeypatch.setattr(moments, "recipe_params", params)
+    monkeypatch.setattr(moments, "_secondary_A", lambda *args: "A")
+    monkeypatch.setattr(moments, "_secondary_A_prime", lambda *args: "A'")
+    def moment_term(chi, j):
+        return predict_moment(chi, j).secondary
+
+    calls = (predict_A, predict_A_prime, moment_term)
+    for k in range(2, 10):
+        m = SimpleNamespace(p=p, k=k, q=p**k, phi=(p - 1) * p ** (k - 1))
+        chi = SimpleNamespace(modulus=m)
+        for j in range(1, k):
+            got = []
+            for call in calls:
+                try:
+                    got.append(call(chi, j))
+                except RegimeMismatch:
+                    got.append(None)
+            assert tuple(got) == secondary_terms_oracle(p, k, j), (p, k, j)

@@ -42,6 +42,12 @@ class TestRelErr:
 
 
 class TestSerialization:
+    def test_jsonl_floats_keep_type_and_sign(self):
+        # as json.dumps writes them; CSV keeps 17 digits, so 2.0 is "2" there
+        row = (2.0, -0.0, 1e16, complex(-0.0, 2.0))
+        line = render_rows((["a", "b", "c", "z"], [row]), "jsonl")
+        assert line == '{"a": 2.0, "b": -0.0, "c": 1e+16, "z": [-0.0, 2.0]}\n'
+
     def test_jsonl_is_valid_json(self):
         keys = ["name", "x", "n", "flag", "pair"]
         line = render_rows((keys, [("a b", 0.1, 3, True, 1.5 - 2.0j)]), "jsonl")
@@ -162,15 +168,20 @@ class TestRenderOracle:
 
 
 def _parsed_as(cell, back) -> bool:
-    """back, a value read by json.loads, is this report cell."""
+    """back, a value read by json.loads, is this report cell; a float cell
+    reads back as a float, with its sign when it is zero."""
     if isinstance(cell, complex):
         return (
             isinstance(back, list)
             and len(back) == 2
             and all(map(_parsed_as, (cell.real, cell.imag), back))
         )
-    if isinstance(cell, float) and math.isnan(cell):
-        return isinstance(back, float) and math.isnan(back)
+    if isinstance(cell, float):
+        return isinstance(back, float) and (
+            math.isnan(back)
+            if math.isnan(cell)
+            else back == cell and math.copysign(1, back) == math.copysign(1, cell)
+        )
     return back == cell and isinstance(back, bool) == isinstance(cell, bool)
 
 
