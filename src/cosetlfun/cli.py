@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -99,10 +100,6 @@ def cmd_gauss_verify(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Closed-form Gauss sums against the direct character sum, all primitive
     chi.  The brute_* columns hold that sum, evaluated for every chi of a
     modulus at once by one FFT in generator order (`gauss_sums`)."""
-    # the closed forms read dlog.  Built here, before the transform, it is
-    # placed as when every modulus built it up front; built among the rows,
-    # it left this run (5^6) at 0.2 MiB more peak RSS
-    m.dlog
     taus = gauss_sums(m)
     for c in primitive_exponents(m):
         brute = complex(taus[c])
@@ -487,11 +484,16 @@ def main(argv=None) -> int:
                 )
 
     text = render_rows((result.keys, result.rows), args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # free the rows (rebound: a caller may keep the rendered table), then
+    # write in slices, so the report is never encoded whole
+    count, result.rows = len(result.rows), []
+    with (
+        open(args.out, "w", encoding="utf-8", newline="")
+        if args.out
+        else nullcontext(sys.stdout)
+    ) as fh:
+        for i in range(0, len(text), 1 << 16):
+            fh.write(text[i : i + (1 << 16)])
 
     for w in result.soft_warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -500,7 +502,7 @@ def main(argv=None) -> int:
     status = "FAIL" if result.hard_failures else "ok"
     if args.strict and result.soft_warnings:
         status = "FAIL"
-    summary = f"{args.subcommand}: {len(result.rows)} {spec.noun}"
+    summary = f"{args.subcommand}: {count} {spec.noun}"
     print(f"{summary} [{status}]", file=sys.stderr)
     return 1 if status == "FAIL" else 0
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -47,22 +46,21 @@ _CENTRE_TAIL_TARGET = _EM_TAIL_TARGET / 4
 
 
 @lru_cache(maxsize=1)
-def _bernoulli_fractions() -> tuple:
-    """B_0 .. B_32 (even index convention B_1 = -1/2) as exact fractions."""
+def _bernoulli_numerators() -> tuple:
+    """B_0 .. B_32 (B_1 = -1/2) times 33!, their common denominator (von
+    Staudt-Clausen: B_m's is squarefree, of primes p with (p - 1) | m), as
+    exact integers; int / int rounds correctly, as float(Fraction) does."""
     n_max = 2 * _EM_BERNOULLI_TERMS + 2
-    b = [Fraction(0)] * (n_max + 1)
-    b[0] = Fraction(1)
+    b = [math.factorial(n_max + 1)]
     for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b[m] = -acc / (m + 1)
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) // (m + 1))
     return tuple(b)
 
 
 def bernoulli_even(j: int) -> float:
     """B_{2j} as a double."""
-    return float(_bernoulli_fractions()[2 * j])
+    b = _bernoulli_numerators()
+    return b[2 * j] / b[0]
 
 
 @lru_cache(maxsize=1)
@@ -93,13 +91,12 @@ def digamma(x: float) -> float:
 @lru_cache(maxsize=1)
 def _em_coefficients() -> tuple:
     # B_{2j}/(2j)! for j = 1..J, plus |B_{2J+2}|/(2J+2)! for the tail bound
-    fr = _bernoulli_fractions()
+    b = _bernoulli_numerators()
     coefs = tuple(
-        float(fr[2 * j] / math.factorial(2 * j))
+        b[2 * j] / (b[0] * math.factorial(2 * j))
         for j in range(1, _EM_BERNOULLI_TERMS + 1)
     )
-    top = 2 * _EM_BERNOULLI_TERMS + 2
-    return coefs, abs(float(fr[top] / math.factorial(top)))
+    return coefs, abs(b[-1]) / (b[0] * math.factorial(len(b) - 1))  # B_{2J+2}
 
 
 def em_shift(

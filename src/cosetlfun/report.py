@@ -99,19 +99,20 @@ def render_rows(table: tuple, fmt: str) -> str:
     def lines(block):
         return "".join(line_of(tuple(map(type, r)))(*r) for r in block)
 
-    out = []
+    out = ""
     if rows and fmt == "csv":
         header = [
             k + part
             for k, v in zip(keys, rows[0])
             for part in (("_re", "_im") if isinstance(v, complex) else ("",))
         ]
-        out.append(line_of((str,) * len(header))(*header))
-    # joined in blocks, so the report never sits in memory as one str per
-    # line; a JSON block that wrote nan or inf is redone from JSON-text cells
-    for i in range(0, len(rows), 4096):
-        text = lines(rows[i : i + 4096])
+        out = line_of((str,) * len(header))(*header)
+    # one str grown in small blocks, which CPython resizes in place once the
+    # `+=` is specialized (a few blocks in), so the report never sits beside
+    # its blocks; a JSON block that wrote nan or inf is redone from JSON text
+    for i in range(0, len(rows), 256):
+        text = lines(rows[i : i + 256])
         if fmt == "jsonl" and ("nan" in text or "inf" in text):
-            text = lines([tuple(map(_json_text, r)) for r in rows[i : i + 4096]])
-        out.append(text)
-    return "".join(out)
+            text = lines([tuple(map(_json_text, r)) for r in rows[i : i + 256]])
+        out += text
+    return out

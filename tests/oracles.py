@@ -15,6 +15,7 @@ import io
 import json
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from cosetlfun.errors import (
 )
 from cosetlfun.lcentral import (
     _CENTRE_TAIL_TARGET,
+    _EM_BERNOULLI_TERMS,
     _EM_TAIL_TARGET,
     _em_coefficients,
     _em_hurwitz,
@@ -196,6 +198,31 @@ def coset_mean_square(a: FiniteSequence, chi: DirichletCharacter, j: int) -> flo
 def roots_oracle(n: int) -> np.ndarray:
     """e(j/n) for j in [0, n), from one expression on the whole index."""
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def bernoulli_oracle(n: int) -> list:
+    """B_0 .. B_n as exact Fractions by the Akiyama-Tanigawa algorithm, which
+    shares no recurrence with the library's (it gives B_1 = +1/2; only the
+    even ones are compared)."""
+    out, a = [], []
+    for m in range(n + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out
+
+
+def em_coefficients_oracle() -> tuple:
+    """`_em_coefficients()` from the Fraction oracle: B_{2j}/(2j)! for
+    j = 1..J and |B_{2J+2}|/(2J+2)!, each rounded once to a double."""
+    top = 2 * _EM_BERNOULLI_TERMS + 2
+    b = bernoulli_oracle(top)
+    coefs = tuple(
+        float(b[2 * j] / math.factorial(2 * j))
+        for j in range(1, _EM_BERNOULLI_TERMS + 1)
+    )
+    return coefs, float(abs(b[top]) / math.factorial(top))
 
 
 def em_hurwitz_oracle(

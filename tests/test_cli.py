@@ -26,6 +26,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def run_child(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -c script argv...` in a fresh interpreter that imports the
+    package from src/, its stdout and stderr captured as bytes."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+
+
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
@@ -537,25 +551,60 @@ class TestDeterminism:
             assert format(v, ".17g") == r["empirical"]
 
 
+class TestReportWrite:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_stdout_and_out_carry_the_same_bytes(self, fmt, tmp_path, monkeypatch, capsys):
+        # 2,916 rows, 397,465 bytes in CSV: the report spans several of the
+        # 64 KiB slices it is written in
+        argv = ["gauss-verify", "--p", "3", "--k", "8", "--format", fmt]
+        texts = []
+
+        def keep(table, fmt):
+            texts.append(render_rows(table, fmt))
+            return texts[-1]
+
+        monkeypatch.setattr(cli_module, "render_rows", keep)
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        [text] = texts
+        assert type(text) is str
+        assert len(text.encode("utf-8")) == out.stat().st_size > 4 * 2**16
+        script = "import sys; from cosetlfun.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = run_child(script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out.read_bytes()
+
+
 class TestReportMemory:
-    def test_peak_per_report_byte(self, tmp_path, capsys):
-        # tracemalloc peak of a 10,000-row run over the 1,382,774 bytes it
-        # writes, the modulus tables included (the cache is cleared first).
-        # With rows held as dicts of [re, im] lists and rendered by
-        # csv.writer it read 7.3-7.5x here (7.8x for gauss-verify at 3^8,
-        # outside pytest); as value tuples rendered through one template per
-        # row signature in blocks, 4.5-4.8x (5.1x at 3^8).
+    # tracemalloc peak of a gauss-verify run over the CSV bytes it writes,
+    # the modulus tables included (the cache is cleared first).  With rows
+    # held as dicts of [re, im] lists and rendered by csv.writer it read
+    # 7.3-7.5x at 5^6 (7.8x at 3^8, outside pytest); as value tuples
+    # rendered through one template per row signature and joined from
+    # 4096-row blocks, 4.6x at 5^6 and 4.5x at 3^10.  Grown as one str from
+    # 256-row blocks, with the rows freed before a write in slices, 3.65x
+    # at 5^6 and 3.50x at 3^10.
+    def peak_per_byte(self, p, k, tmp_path, capsys) -> float:
         out = tmp_path / "g.csv"
         modular_module.modulus.cache_clear()
         tracemalloc.start()
         try:
-            code = main(["gauss-verify", "--p", "5", "--k", "6", "--out", str(out)])
+            code = main(["gauss-verify", "--p", str(p), "--k", str(k), "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        assert peak / out.stat().st_size < 6.0
+        return peak / out.stat().st_size
+
+    def test_peak_per_report_byte(self, tmp_path, capsys):
+        # 10,000 rows, 1,382,774 bytes
+        assert self.peak_per_byte(5, 6, tmp_path, capsys) < 4.0
+
+    def test_peak_per_report_byte_at_3_10(self, tmp_path, capsys):
+        # 26,244 rows, 3,669,203 bytes: the report outweighs the tables
+        assert self.peak_per_byte(3, 10, tmp_path, capsys) < 3.8
 
 
 class TestSeededStream:
@@ -595,15 +644,25 @@ class TestSeededStream:
             "    out.append([status, 'numpy.random' in sys.modules])\n"
             "print(json.dumps(out))\n"
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
-            timeout=120,
-        )
+        proc = run_child(script)
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         assert all(status in (0, 1) for status, _ in got), got
         assert [loaded for _, loaded in got] == [False] * 6 + [True]
+
+    def test_no_fractions_in_a_child(self):
+        # the Bernoulli numbers are exact integers over one denominator, so a
+        # child that uses them imports neither fractions nor decimal
+        # (0.3-0.4 MiB); the cache shows that this run computed them
+        script = (
+            "import contextlib, io, sys\n"
+            "from cosetlfun import lcentral\n"
+            "from cosetlfun.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "print(status, lcentral._bernoulli_numerators.cache_info().currsize,\n"
+            "      sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        )
+        proc = run_child(script, "moment", "--p", "5", "--k", "4", "--j", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"0 1 []\n"

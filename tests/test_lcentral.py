@@ -18,6 +18,7 @@ from cosetlfun.errors import (
 import cosetlfun.lcentral as lcentral_module
 from cosetlfun.hybrid import hybrid_moment_quadrature
 from cosetlfun.lcentral import (
+    _em_coefficients,
     _em_hurwitz,
     _taylor_grid,
     _zeta_grid,
@@ -32,7 +33,12 @@ from cosetlfun.lcentral import (
 )
 from cosetlfun.modular import modulus
 from conftest import forced_route
-from oracles import hurwitz_zeta, l_series_oracle
+from oracles import (
+    bernoulli_oracle,
+    em_coefficients_oracle,
+    hurwitz_zeta,
+    l_series_oracle,
+)
 
 
 @contextmanager
@@ -67,6 +73,23 @@ class TestConstants:
     def test_bernoulli_odd_index_convention(self):
         # only even indices are exposed; B_2 = 1/6 sanity via recurrence result
         assert abs(bernoulli_even(1) - 1 / 6) < 1e-15
+
+    def test_constants_match_fraction_oracle_bitwise(self, monkeypatch):
+        # the integer numerators over 33! round to the doubles that exact
+        # Fractions round to, and so do the constants built on them
+        b = bernoulli_oracle(32)
+
+        def bits(xs):
+            return [float(x).hex() for x in xs]
+
+        assert bits(map(bernoulli_even, range(1, 17))) == bits(b[2:33:2])
+        coefs, tail = _em_coefficients()
+        want_coefs, want_tail = em_coefficients_oracle()
+        assert bits(coefs) + bits([tail]) == bits(want_coefs) + bits([want_tail])
+        gamma, psi = euler_gamma(), digamma(0.25)
+        monkeypatch.setattr(lcentral_module, "bernoulli_even", lambda j: float(b[2 * j]))
+        assert euler_gamma.__wrapped__().hex() == gamma.hex()
+        assert digamma(0.25).hex() == psi.hex()
 
     def test_euler_gamma_slow_route(self):
         n = 2_000_000
