@@ -39,15 +39,8 @@ from .gauss import (
     near_one_root_number_check,
 )
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
-from .modular import (
-    MAX_MODULUS,
-    PrimePowerModulus,
-    check_size,
-    is_prime,
-    modulus,
-    sample_units,
-)
-from .moments import moment_report, recipe_params
+from .modular import PrimePowerModulus, check_modulus, modulus, sample_units
+from .moments import MomentReport, moment_report, recipe_params
 from .report import rel_err, render_rows
 from .vdc import (
     FiniteSequence,
@@ -162,12 +155,11 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
             chi = DirichletCharacter(m, c)
             key = c % m.p ** (m.k - j)
             if key not in by_coset:
-                report = moment_report(chi, j, args.retain_phase)
-                by_coset[key] = tuple(vars(report).values())
-            q, q0, _, _, *rest = by_coset[key]
-            rows.append((q, q0, c, postnikov_ell(chi), *rest))
-        # r[7:12] holds empirical, D, A, residual, baseline_residual
-        improved = sum(1 for r in rows if abs(r[10]) < abs(r[11]))
+                by_coset[key] = moment_report(chi, j, args.retain_phase)
+            # not `_replace`, whose map-fed tuple leaves a 13-tuple per row free-listed
+            row = by_coset[key]._asdict() | dict(chi_exponent=c, ell=postnikov_ell(chi))
+            rows.append(MomentReport(**row))
+        improved = sum(1 for r in rows if abs(r.residual) < abs(r.baseline_residual))
         if improved < len(rows):
             res.soft_warnings.append(
                 f"moment q={m.q} j={j}: secondary term improves the "
@@ -175,8 +167,8 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
                 "theorem's error term dominates at desk-scale moduli)"
             )
         for r in rows:
-            if not all(map(math.isfinite, r[7:11])):
-                res.hard_failures.append(f"moment q={m.q} c={r[2]}: non-finite value")
+            if not all(map(math.isfinite, (r.empirical, r.D, r.A, r.residual))):
+                res.hard_failures.append(f"moment q={m.q} c={r.chi_exponent}: non-finite value")
         res.rows.extend(rows)
 
 
@@ -424,24 +416,15 @@ def check_args(args: argparse.Namespace) -> None:
     given = vars(args)
     if "p" in given and not (args.p and args.k):
         raise ConfigError("empty grid: --p and --k are required here")
-    for p in given.get("p", ()):
-        # the cap first, as in PrimePowerModulus: is_prime trial-divides
-        if p > MAX_MODULUS:
-            raise ConfigError(f"modulus base {p} exceeds the 2^31 cap")
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise ConfigError(f"modulus base must be an odd prime, got {p}")
-    for k in given.get("k", ()):
-        if k < 1:
-            raise ConfigError(f"exponent must be >= 1, got {k}")
-    # the cap and the table memory of every modulus, before the first is built
+    # every modulus of the grid is checked before the first is built
     for p, k in itertools.product(given.get("p", ()), given.get("k", ())):
-        check_size(p, k)
+        check_modulus(p, k)
     if not given.get("tolerance", 1.0) > 0:
         raise ConfigError(f"tolerance must be positive, got {args.tolerance}")
-    for key in ("m_samples", "trials"):
-        if given.get(key, 1) < 1:
+    for key, least in (("seed", 0), ("m_samples", 1), ("trials", 1)):
+        if given.get(key, least) < least:
             flag = key.replace("_", "-")
-            raise ConfigError(f"{flag} must be >= 1, got {given[key]}")
+            raise ConfigError(f"{flag} must be >= {least}, got {given[key]}")
     if args.out:
         if os.path.isdir(args.out):
             raise ConfigError(f"output path is a directory: {args.out}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -139,8 +139,7 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     return report
 
 
-@dataclass(frozen=True)
-class HybridQuadrature:
+class HybridQuadrature(NamedTuple):
     lhs: float  # on the step-t_step grid of `samples` points
     halved_step_lhs: float  # on that grid plus every midpoint
     envelope: float
@@ -163,10 +162,11 @@ def hybrid_moment_quadrature(
         raise PreconditionViolated("window length T0 must be positive")
     if not t_step > 0:
         raise PreconditionViolated("quadrature step must be positive")
+    # a finite T + T0 means a finite T and T0, and no overflow at the end
+    if not all(map(math.isfinite, (T + T0, T0 / t_step))):
+        raise PreconditionViolated("window needs a finite T + T0 and T0/t_step")
     if t_step > T0 / 8:
         raise QuadratureTooCoarse(f"step {t_step} exceeds T0/8 = {T0 / 8}")
-    if not chi.is_primitive:
-        raise PreconditionViolated("hybrid window needs a primitive base")
     spec = CosetSpec(chi, j, "all")
     if T0 > T:
         raise PreconditionViolated("window needs T0 <= T")

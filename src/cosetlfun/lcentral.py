@@ -12,8 +12,8 @@ computed here from their defining series, not pasted in as literals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,8 +332,7 @@ def _zeta_grid(q: int, t: float) -> tuple[np.ndarray, float, float]:
     return vals, bound, (math.log2(q) + 4) * 2**-52 * float(np.abs(vals).sum())
 
 
-@dataclass(frozen=True)
-class LValue:
+class LValue(NamedTuple):
     """A central-line value with its accumulated error bound."""
 
     value: complex

@@ -25,7 +25,7 @@ MAX_MODULUS = 2**31
 
 def is_prime(n: int) -> bool:
     """Primality by the trial division of `_factor`: up to sqrt(n)/2 steps,
-    so `PrimePowerModulus` checks its 2^31 cap first."""
+    so `check_modulus` checks the 2^31 cap first."""
     return n >= 2 and _factor(n) == {n: 1}
 
 
@@ -141,6 +141,18 @@ def check_size(p: int, k: int) -> None:
     require_memory(f"the unit tables mod {p}^{k}", table_bytes(p, k))
 
 
+def check_modulus(p: int, k: int) -> None:
+    """The one rule for the (p, k) of a `PrimePowerModulus`: k >= 1, then the
+    cap and memory of `check_size`, then p an odd prime, whose trial division
+    the cap keeps to at most sqrt(2^31)/2 steps."""
+    if k < 1:
+        raise InvalidModulus(f"exponent must be >= 1, got {k}")
+    if p >= 3:
+        check_size(p, k)
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise InvalidModulus(f"{p} is not an odd prime")
+
+
 def reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m, in place and returned, for an int64 array x: x - (x // m) m.
 
@@ -189,14 +201,7 @@ class PrimePowerModulus:
     """
 
     def __init__(self, p: int, k: int):
-        if k < 1:
-            raise InvalidModulus(f"exponent must be >= 1, got {k}")
-        # the cap comes before the primality test, whose trial division
-        # takes up to sqrt(p)/2 steps
-        if p >= 3:
-            check_size(p, k)
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise InvalidModulus(f"{p} is not an odd prime")
+        check_modulus(p, k)
         self.p = p
         self.k = k
         self.q = p**k

@@ -10,7 +10,7 @@ agree bit-for-bit in doubles here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characters import (
     CosetSpec,
@@ -38,8 +38,7 @@ from .modular import (
 )
 
 
-@dataclass(frozen=True)
-class RecipeParams:
+class RecipeParams(NamedTuple):
     """Minimal lifts of the logarithm parameter and the prediction window."""
 
     q: int
@@ -151,8 +150,7 @@ def _secondary_A_prime(
     ) * phase
 
 
-@dataclass(frozen=True)
-class MomentPrediction:
+class MomentPrediction(NamedTuple):
     """Main term, secondary term and error scale for one coset."""
 
     D: float
@@ -187,8 +185,7 @@ def predict_moment(
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalMoment:
+class EmpiricalMoment(NamedTuple):
     value: float
     error_bound: float
     members: int
@@ -210,9 +207,8 @@ def empirical_coset_moment(spec: CosetSpec) -> EmpiricalMoment:
     return EmpiricalMoment(total, bound, len(members))
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """One row of the moment verification table."""
+class MomentReport(NamedTuple):
+    """One row of the moment verification table, in report-column order."""
 
     q: int
     q0: int

@@ -136,7 +136,7 @@ class TestConfigErrors:
     def test_even_prime_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gauss-verify", "--p", "2", "--k", "3")
         assert code == 2
-        assert "config error" in err
+        assert err.startswith("error: InvalidModulus: 2 is not an odd prime")
 
     def test_composite_base_rejected_before_any_modulus(self, capsys, monkeypatch):
         # 9 used to be refused by PrimePowerModulus, after all 10,000
@@ -145,18 +145,39 @@ class TestConfigErrors:
         monkeypatch.setattr(cli_module, "modulus", lambda p, k: built.append((p, k)))
         code, out, err = run_cli(capsys, "gauss-verify", "--p", "5", "9", "--k", "6")
         assert (code, out, built) == (2, "", [])
-        assert err.startswith("config error: modulus base must be an odd prime")
+        assert err.startswith("error: InvalidModulus: 9 is not an odd prime")
 
     def test_base_over_the_cap_skips_trial_division(self, capsys, monkeypatch):
         # 2^61 - 1 is prime: trial division would take about 2^29 steps
         tested = []
-        monkeypatch.setattr(cli_module, "is_prime", lambda n: tested.append(n) or True)
+        monkeypatch.setattr(modular_module, "is_prime", lambda n: tested.append(n) or True)
         code, out, err = run_cli(
             capsys, "gauss-verify", "--p", "5", str(2**61 - 1), "--k", "2"
         )
         assert (code, out) == (2, "")
-        assert err.startswith("config error: modulus base 2305843009213693951 exceeds")
+        assert err.startswith("error: InvalidModulus: q = 2305843009213693951^2 exceeds")
         assert tested == [5]
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_negative_seed_rejected(self, name, capsys):
+        # numpy's generator refuses a negative seed once a handler draws
+        grid = [] if name == "vdc" else ["--p", "5", "--k", "2"]
+        code, out, err = run_cli(capsys, name, *grid, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize(
+        "window",
+        [["--t-step", "1e-320"], ["--T", "1e308", "--T0", "1e308"],
+         ["--T", "inf", "--T0", "inf"], ["--T", "nan"]],
+        ids=" ".join,
+    )
+    def test_hybrid_non_finite_window_rejected(self, window, capsys):
+        code, out, err = run_cli(
+            capsys, "hybrid", "--p", "3", "--k", "4", "--j", "1", *window
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error: PreconditionViolated:")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -487,7 +508,7 @@ class TestMomentCommand:
         assert code == 0
         m = modulus(p, k)
         want = [
-            vars(moment_report(DirichletCharacter(m, c), j, bool(flags)))
+            moment_report(DirichletCharacter(m, c), j, bool(flags))._asdict()
             for c in even_primitive_exponents(m)
         ]
         assert out == render_rows(

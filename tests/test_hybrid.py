@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
-from cosetlfun.errors import PreconditionViolated, QuadratureTooCoarse
+from cosetlfun.errors import NotPrimitive, PreconditionViolated, QuadratureTooCoarse
 import cosetlfun.hybrid as hybrid_module
 from cosetlfun.hybrid import (
     MAX_SCAN_CELLS,
@@ -267,8 +267,18 @@ class TestHybridQuadrature:
 
     @pytest.mark.parametrize(
         "T,T0,t_step",
-        [(1.0, 2.0, 0.25), (10.0, 2.0, 1e-9)],
-        ids=["window-past-T", "window-over-work-cap"],
+        [
+            (1.0, 2.0, 0.25),
+            (10.0, 2.0, 1e-9),
+            (10.0, 2.0, 1e-320),
+            (1e308, 1e308, 0.25),
+            (math.inf, math.inf, 0.25),
+            (math.nan, 2.0, 0.25),
+        ],
+        ids=[
+            "window-past-T", "window-over-work-cap", "step-count-overflows",
+            "window-end-overflows", "infinite-window", "nan-start",
+        ],
     )
     def test_refuses_before_enumerating_the_coset(self, T, T0, t_step, monkeypatch):
         def unreachable(spec):
@@ -280,7 +290,7 @@ class TestHybridQuadrature:
             hybrid_moment_quadrature(chi, 1, T=T, T0=T0, t_step=t_step)
 
     def test_rejects_imprimitive_base(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(NotPrimitive):
             hybrid_moment_quadrature(DirichletCharacter(modulus(3, 4), 3), 1)
 
     def test_halved_step_on_non_nesting_step(self):

@@ -88,3 +88,43 @@ def test_cli_import_loads_neither_fft_nor_random():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_modulus_rule_stated_only_in_modular():
+    # `modular.check_modulus` states which (p, k) are moduli; the CLI
+    # applies it to the grid instead of restating its checks
+    cli_imports = {
+        alias.name
+        for node in ast.walk(_tree(SRC / "cli.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not cli_imports & {"MAX_MODULUS", "is_prime", "check_size"}
+    for message in ("is not an odd prime", "exponent must be >= 1"):
+        found = {
+            path.name
+            for path in MODULES
+            for raised in ast.walk(_tree(path))
+            if isinstance(raised, ast.Raise)
+            for node in ast.walk(raised)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and message in node.value
+        }
+        assert found == {"modular.py"}, message
+
+
+def test_dataclasses_are_the_validated_and_mutable_records():
+    # value-only records are NamedTuples; a dataclass either checks its
+    # fields in __post_init__, is mutated, or has a factory default
+    found = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+    assert found == {
+        "DirichletCharacter", "CosetSpec", "FiniteSequence",
+        "RunResult", "Lemma9Scan", "Subcommand",
+    }

@@ -283,7 +283,7 @@ class TestMomentReport:
             row.empirical - row.D, abs=1e-12
         )
         assert row.error_scale == pytest.approx((5**4) ** -0.125 * 25, rel=1e-12)
-        d = dict(vars(row))
+        d = row._asdict()
         assert list(d) == [
             "q", "q0", "chi_exponent", "ell", "a_chi", "b_chi", "regime",
             "empirical", "D", "A", "residual", "baseline_residual",
