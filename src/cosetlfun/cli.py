@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from .characters import (
     CosetSpec,
     DirichletCharacter,
@@ -63,11 +61,13 @@ class RunResult:
     soft_warnings: list = field(default_factory=list)
 
     @cached_property
-    def rng(self) -> np.random.Generator:
-        """The run's seeded stream, one for the whole grid.  It is made on
-        first use, so a subcommand that draws nothing never imports
-        numpy.random (about 6 MiB and 20 ms)."""
-        return np.random.default_rng(self.seed)
+    def rng(self):
+        """The run's seeded stream, one for the whole grid: `default_rng(seed)`'s
+        draws, bit for bit.  Imported on first use, so a subcommand that
+        draws nothing never compiles it, and none loads numpy.random."""
+        from .seeded import SeededStream
+
+        return SeededStream(self.seed)
 
     def add(self, *values) -> None:
         """Append a row given in report-column order; a complex value fills
@@ -110,7 +110,7 @@ def cmd_coset_eps(args, m: PrimePowerModulus, res: RunResult) -> None:
             raise ConfigError(
                 f"level j = {j} fits no average regime at (p, k) = ({p}, {k})"
             )
-        c = int(res.rng.choice(even_primitive_exponents(m)))
+        c = res.rng.choice(even_primitive_exponents(m))
         spec = CosetSpec(DirichletCharacter(m, c), j, "even")
         twists = sample_units(res.rng, m.q, p, args.m_samples)
         for tw, brute in zip(twists, coset_epsilon_average(spec, twists)):
@@ -222,10 +222,10 @@ def cmd_vdc(args, m: None, res: RunResult) -> None:
 
 def cmd_shift_identity(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Coset mean square vs shifted autocorrelations on random sequences."""
-    exponents = np.array(primitive_exponents(m), dtype=np.int64)
+    exponents = primitive_exponents(m)
     for j in args.j or range(0, m.k + 1):
         for i in range(args.trials):
-            c = int(res.rng.choice(exponents))
+            c = res.rng.choice(exponents)
             seq = random_sequence(50, res.rng)
             lhs, rhs = coset_shift_identity(seq, DirichletCharacter(m, c), j)
             res.add(m.q, j, i, c, lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs)))
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for flag in spec.flags:
             sp.add_argument(flag, **FLAGS[flag])
-        sp.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed, any int >= 0")
         if spec.checked:
             sp.add_argument(
                 "--tolerance",

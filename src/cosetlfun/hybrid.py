@@ -100,7 +100,6 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
             f"scan size (q = {m.q}, A*B = {A * B}) over the cap"
         )
     chi = DirichletCharacter(m, 1)
-    q, q0 = m.q, m.p**j
 
     # |S| for every cell once, the shifts +-h summed; grid points sum sub-blocks
     freqs = [sn for n in range(1, B + 1) for sn in (n, -n)]
@@ -112,6 +111,8 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
         *sums, zero = map(abs, row.tolist())
         abs_s[i // 2] += sums
         zero_col[i // 2] += zero
+    # formed after char_sum_S has checked the level, so a huge j never reaches p**j
+    q, q0 = m.q, m.p**j
 
     report = Lemma9Scan(noise_floor=1e-9 * math.sqrt(q))
     for a_cap in _doubling(A):

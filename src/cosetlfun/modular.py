@@ -80,8 +80,9 @@ def root_of_unity(num: int, den: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 
-def sample_units(rng: np.random.Generator, q: int, p: int, count: int) -> list:
-    """`count` draws of integers in [1, q) prime to p, by rejection from rng."""
+def sample_units(rng, q: int, p: int, count: int) -> list:
+    """`count` draws of integers in [1, q) prime to p, by rejection from
+    `rng.integers(1, q)` (a `seeded.SeededStream` or `numpy.random.Generator`)."""
     out = []
     while len(out) < count:
         c = int(rng.integers(1, q))

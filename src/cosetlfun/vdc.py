@@ -45,8 +45,10 @@ class FiniteSequence:
         return self.support_start + self.coefficients.size - 1
 
 
-def random_sequence(length: int, rng: np.random.Generator) -> FiniteSequence:
-    """Seeded coefficients on [1, length], uniform on the square [0,1)+[0,1)i."""
+def random_sequence(length: int, rng) -> FiniteSequence:
+    """Seeded coefficients on [1, length], uniform on the square [0,1)+[0,1)i:
+    real parts from `rng.random(length)`, then imaginary parts from a second
+    call (`rng` a `seeded.SeededStream` or `numpy.random.Generator`)."""
     u = rng.random(length)
     v = rng.random(length)
     return FiniteSequence(1, u + 1j * v)

@@ -160,7 +160,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_negative_seed_rejected(self, name, capsys):
-        # numpy's generator refuses a negative seed once a handler draws
+        # a negative seed is no SeedSequence entropy: numpy refuses it, and
+        # so does the command line, before any handler draws
         grid = [] if name == "vdc" else ["--p", "5", "--k", "2"]
         code, out, err = run_cli(capsys, name, *grid, "--seed", "-1")
         assert (code, out) == (2, "")
@@ -266,6 +267,20 @@ class TestConfigErrors:
             assert out == ""
             assert err.startswith("config error: output path is a directory")
         assert list(tmp_path.iterdir()) == []
+
+    def test_lemma9_huge_level_rejected_at_once(self):
+        # lemma9_scan used to form p**j before the level was checked, and ran
+        # until killed; a child, since no signal interrupts that power
+        argv = ["lemma9", "--p", "3", "--k", "2", "--j", "100000000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosetlfun.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1].startswith("error: PreconditionViolated:")
 
     def test_lemma9_cap_violation(self, capsys):
         code, _, err = run_cli(capsys, "lemma9", "--p", "3", "--k", "7")
@@ -644,8 +659,9 @@ class TestSeededStream:
         assert [r for r in both if r["k"] == "4"] != self.rows(capsys, "4")
 
     def test_no_generator_without_draws(self):
-        # numpy.random costs about 6 MiB; subcommands that sample nothing
-        # must not import it, and vdc, which does, shows the probe works
+        # numpy.random, with the hashlib and OpenSSL that secrets pulls in,
+        # costs about 6 MiB: no subcommand loads it, and only the four that
+        # sample load the in-package stream
         runs = [
             ["moment", "--p", "5", "--k", "4", "--j", "2"],
             ["gauss-verify", "--p", "5", "--k", "2"],
@@ -653,6 +669,9 @@ class TestSeededStream:
             ["lemma9", "--p", "3", "--k", "4", "--j", "1"],
             ["near-one", "--p", "3", "--k", "4"],
             ["recipe", "--p", "5", "--k", "4", "--j", "2"],
+            ["coset-eps", "--p", "5", "--k", "3", "--m-samples", "2"],
+            ["ratio", "--p", "5", "--k", "3", "--m-samples", "2"],
+            ["shift-identity", "--p", "3", "--k", "3", "--trials", "2"],
             ["vdc", "--trials", "1"],
         ]
         script = (
@@ -662,14 +681,15 @@ class TestSeededStream:
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        status = main(argv)\n"
-            "    out.append([status, 'numpy.random' in sys.modules])\n"
+            "    names = ('numpy.random', 'hashlib', 'secrets', 'cosetlfun.seeded')\n"
+            "    out.append([status, [n for n in names if n in sys.modules]])\n"
             "print(json.dumps(out))\n"
         )
         proc = run_child(script)
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         assert all(status in (0, 1) for status, _ in got), got
-        assert [loaded for _, loaded in got] == [False] * 6 + [True]
+        assert [loaded for _, loaded in got] == [[]] * 6 + [["cosetlfun.seeded"]] * 4
 
     def test_no_fractions_in_a_child(self):
         # the Bernoulli numbers are exact integers over one denominator, so a

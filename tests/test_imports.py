@@ -71,12 +71,13 @@ def test_window_names_only_where_the_windows_are_stated():
 
 
 def test_cli_import_loads_neither_fft_nor_random():
-    # numpy.fft (about 0.56 MiB and 1.5 ms) and numpy.random (about 6 MiB)
-    # are reached only inside the calls that use them, and no subcommand
-    # reads cosetlfun.batched, which every child would otherwise compile
+    # numpy.fft (about 0.56 MiB and 1.5 ms) is reached only inside the calls
+    # that use it, no subcommand reads numpy.random (about 6 MiB) or
+    # cosetlfun.batched, and the seeded stream is imported on the first
+    # draw: every child would otherwise compile it
     script = (
         "import sys, cosetlfun.cli\n"
-        "names = ('numpy.fft', 'numpy.random', 'cosetlfun.batched')\n"
+        "names = ('numpy.fft', 'numpy.random', 'cosetlfun.batched', 'cosetlfun.seeded')\n"
         "print(sorted(m for m in names if m in sys.modules))"
     )
     proc = subprocess.run(
