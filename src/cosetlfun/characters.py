@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModulus, NotPrimitive, PreconditionViolated
+from .errors import InvalidModulus, NotPrimitive, OddCharacter, PreconditionViolated
 from .modular import PrimePowerModulus, blocks, mod_inverse, reduce_mod, root_of_unity
 
 
@@ -165,6 +165,24 @@ class CosetSpec:
             raise PreconditionViolated(f"unknown parity filter {self.parity!r}")
         if not self.base.is_primitive:
             raise NotPrimitive("coset base must be primitive")
+
+
+def proper_level(m: PrimePowerModulus, j: int) -> int:
+    """q0 = p^j for a moment level, which needs 1 <= j < k; every power of
+    p a moment forms is q0 or q // q0, so none is formed before this check."""
+    if not 1 <= j < m.k:
+        raise PreconditionViolated(f"level j = {j} outside [1, {m.k})")
+    return m.p**j
+
+
+def even_family(spec: CosetSpec) -> int:
+    """q0 for the cosets the modified recipe averages over: the even members
+    of an even primitive base's coset at a proper level."""
+    if spec.parity != "even":
+        raise PreconditionViolated("the recipe's averages run over the even coset")
+    if not spec.base.is_even:
+        raise OddCharacter("the recipe's averages need an even base character")
+    return proper_level(spec.base.modulus, spec.j)
 
 
 def classify_regime(k: int, j: int) -> str:

@@ -25,6 +25,7 @@ from .characters import (
     even_primitive_exponents,
     postnikov_ell,
     primitive_exponents,
+    proper_level,
 )
 from .errors import ConfigError, CosetLFunError
 from .gauss import (
@@ -38,7 +39,7 @@ from .gauss import (
 )
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
 from .modular import PrimePowerModulus, check_modulus, modulus, sample_units
-from .moments import MomentReport, moment_report, recipe_params
+from .moments import MomentReport, RecipeParams, moment_report, recipe_params
 from .report import rel_err, render_rows
 from .vdc import (
     FiniteSequence,
@@ -75,15 +76,6 @@ class RunResult:
         if len(values) != len(self.keys):
             raise ValueError(f"{len(values)} values for {len(self.keys)} columns")
         self.rows.append(values)
-
-
-def even_bases(m) -> list:
-    """`even_primitive_exponents(m)`, refusing an empty list: the library
-    checks the level and window on each character, and mod 3 has none."""
-    cs = even_primitive_exponents(m)
-    if not cs:
-        raise ConfigError(f"no even primitive character mod {m.q}")
-    return cs
 
 
 # ---------------------------------------------------------------- subcommands
@@ -149,11 +141,12 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
         # and ell, and enumerate_coset gives every base the same sorted
         # members, so one report per coset c mod p^(k-j) yields each
         # base's row bit for bit
+        qkj = m.q // proper_level(m, j)
         by_coset = {}
         rows = []
-        for c in even_bases(m):
+        for c in even_primitive_exponents(m):
             chi = DirichletCharacter(m, c)
-            key = c % m.p ** (m.k - j)
+            key = c % qkj
             if key not in by_coset:
                 by_coset[key] = moment_report(chi, j, args.retain_phase)
             # not `_replace`, whose map-fed tuple leaves a 13-tuple per row free-listed
@@ -175,9 +168,9 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
 def cmd_recipe(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Signed minimal lifts of the logarithm parameter, with window checks."""
     for j in args.j:
-        qkj = m.p ** (m.k - j)
-        q0 = m.p**j
-        for c in even_bases(m):
+        q0 = proper_level(m, j)
+        qkj = m.q // q0
+        for c in even_primitive_exponents(m):
             params = recipe_params(DirichletCharacter(m, c), j)
             ok = (
                 (params.a_chi - params.ell) % qkj == 0
@@ -187,7 +180,7 @@ def cmd_recipe(args, m: PrimePowerModulus, res: RunResult) -> None:
             )
             if not ok:
                 res.hard_failures.append(f"recipe q={m.q} c={c}: lift windows violated")
-            res.add(m.q, q0, c, params.ell, params.a_chi, params.b_chi, params.regime)
+            res.add(*params)
 
 
 def cmd_vdc(args, m: None, res: RunResult) -> None:
@@ -335,14 +328,13 @@ SPECS = {
     ),
     "moment": Subcommand(
         cmd_moment,
-        "q,q0,chi_exponent,ell,a_chi,b_chi,regime,empirical,D,A,"
-        "residual,baseline_residual,error_scale",
+        ",".join(MomentReport._fields),
         "characters reported",
         GRID + ("--j", "--retain-phase"),
     ),
     "recipe": Subcommand(
         cmd_recipe,
-        "q,q0,chi_exponent,ell,a_chi,b_chi,regime",
+        ",".join(RecipeParams._fields),
         "characters lifted",
         GRID + ("--j",),
     ),

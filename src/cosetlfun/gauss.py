@@ -22,12 +22,12 @@ from .characters import (
     character_with_ell,
     classify_regime,
     enumerate_coset,
+    even_family,
     generator_row,
     postnikov_ell,
 )
 from .errors import (
     NotPrimitive,
-    OddCharacter,
     PreconditionViolated,
     RegimeMismatch,
     UnsupportedRegime,
@@ -160,15 +160,6 @@ def near_one_root_number_check(
     ]
 
 
-def _require_eps_average_spec(spec: CosetSpec):
-    if not spec.base.is_even:
-        raise OddCharacter("epsilon averages are stated for even base characters")
-    if spec.parity != "even":
-        raise PreconditionViolated("epsilon averages run over the even coset")
-    if not 1 <= spec.j < spec.base.modulus.k:
-        raise PreconditionViolated(f"level {spec.j} outside [1, k)")
-
-
 def _require_unit_twist(spec: CosetSpec, m: int):
     p = spec.base.modulus.p
     if m % p == 0:
@@ -178,7 +169,7 @@ def _require_unit_twist(spec: CosetSpec, m: int):
 def coset_epsilon_average(spec: CosetSpec, twists: Sequence[int]) -> list[complex]:
     """Brute sum of eps(eta) conj(eta(m)) over the even coset members, one
     per twist m; each member's eps is computed once for all twists."""
-    _require_eps_average_spec(spec)
+    even_family(spec)
     for m in twists:
         _require_unit_twist(spec, m)
     rootq = math.sqrt(spec.base.modulus.q)
@@ -211,7 +202,7 @@ def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> comple
         sum_{±} e_q(±m) [ell = ∓m mod p^j] e_{p^(k-2j)}((2 ell)^(-1) w^2),
         w = (ell ± m)/p^j.
     """
-    _require_eps_average_spec(spec)
+    q0 = even_family(spec)
     _require_unit_twist(spec, m)
     mod = spec.base.modulus
     p, k, q, j = mod.p, mod.k, mod.q, spec.j
@@ -222,19 +213,17 @@ def coset_epsilon_average_closed(spec: CosetSpec, m: int, regime: str) -> comple
     ell = postnikov_ell(spec.base)
     size = phi_prime_power(p, j)
     if regime == "linear":
-        pkj = p ** (k - j)
         total = 0j
         for sign in (1, -1):
-            if (ell + sign * m) % pkj == 0:
+            if (ell + sign * m) % (q // q0) == 0:
                 total += root_of_unity(sign * m, q)
-        return math.sqrt(q) * size / (2 * p**j) * total
-    pj = p**j
-    big_q = p ** (k - 2 * j)
+        return math.sqrt(q) * size / (2 * q0) * total
+    big_q = q // q0 // q0
     total = 0j
     for sign in (1, -1):
-        if (ell + sign * m) % pj != 0:
+        if (ell + sign * m) % q0 != 0:
             continue
-        w = (ell + sign * m) // pj
+        w = (ell + sign * m) // q0
         term = root_of_unity(sign * m, q)
         if big_q > 1:
             term *= root_of_unity(mod_inverse(2 * ell, big_q) * w * w, big_q)

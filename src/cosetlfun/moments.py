@@ -17,15 +17,11 @@ from .characters import (
     DirichletCharacter,
     classify_regime,
     enumerate_coset,
+    even_family,
     postnikov_ell,
+    proper_level,
 )
-from .errors import (
-    DegenerateConductor,
-    NotPrimitive,
-    OddCharacter,
-    PreconditionViolated,
-    RegimeMismatch,
-)
+from .errors import DegenerateConductor, RegimeMismatch
 from .gauss import eps_regimes
 from .lcentral import digamma, euler_gamma, l_value
 from .modular import (
@@ -39,21 +35,16 @@ from .modular import (
 
 
 class RecipeParams(NamedTuple):
-    """Minimal lifts of the logarithm parameter and the prediction window."""
+    """Minimal lifts of the logarithm parameter and the prediction window:
+    one row of the recipe table, in report-column order."""
 
     q: int
     q0: int
+    chi_exponent: int
     ell: int
     a_chi: int
     b_chi: int
     regime: str  # thm11 | thm12 | both | none
-
-
-def _level_modulus(m: PrimePowerModulus, j: int) -> int:
-    """q0 = p^j for a moment level, which needs 1 <= j < k."""
-    if not 1 <= j < m.k:
-        raise PreconditionViolated(f"level j = {j} outside [1, {m.k})")
-    return m.p**j
 
 
 def recipe_params(chi: DirichletCharacter, j: int) -> RecipeParams:
@@ -61,27 +52,16 @@ def recipe_params(chi: DirichletCharacter, j: int) -> RecipeParams:
     m = chi.modulus
     if m.k < 2:
         raise DegenerateConductor("recipe needs k >= 2")
-    if not chi.is_primitive:
-        raise NotPrimitive("recipe needs a primitive character")
-    if not chi.is_even:
-        raise OddCharacter("recipe is stated for even characters")
-    q0 = _level_modulus(m, j)
+    q0 = even_family(CosetSpec(chi, j, "even"))
     ell = postnikov_ell(chi)
-    a = signed_lift(ell, m.p ** (m.k - j))
+    a = signed_lift(ell, m.q // q0)
     b = signed_lift(a, q0)
-    return RecipeParams(
-        q=m.q,
-        q0=q0,
-        ell=ell,
-        a_chi=a,
-        b_chi=b,
-        regime=classify_regime(m.k, j),
-    )
+    return RecipeParams(m.q, q0, chi.c, ell, a, b, classify_regime(m.k, j))
 
 
 def predict_D(m: PrimePowerModulus, j: int) -> float:
     """Diagonal main term of the even-coset second moment at level j."""
-    _level_modulus(m, j)
+    proper_level(m, j)
     q, p = m.q, m.p
     bracket = (
         math.log(q)
@@ -193,10 +173,7 @@ class EmpiricalMoment(NamedTuple):
 
 def empirical_coset_moment(spec: CosetSpec) -> EmpiricalMoment:
     """sum of |L(1/2, eta)|^2 over the even coset members."""
-    if spec.parity != "even":
-        raise PreconditionViolated("moment runs over the even coset")
-    if not spec.base.is_even:
-        raise OddCharacter("moment needs an even base character")
+    even_family(spec)
     total = 0.0
     bound = 0.0
     members = enumerate_coset(spec)
@@ -208,7 +185,8 @@ def empirical_coset_moment(spec: CosetSpec) -> EmpiricalMoment:
 
 
 class MomentReport(NamedTuple):
-    """One row of the moment verification table, in report-column order."""
+    """One row of the moment verification table, in report-column order:
+    the recipe row (`RecipeParams`), then the moment's own columns."""
 
     q: int
     q0: int
@@ -232,13 +210,7 @@ def moment_report(
     pred = predict_moment(chi, j, retain_phase)
     emp = empirical_coset_moment(CosetSpec(chi, j, "even"))
     return MomentReport(
-        q=pred.params.q,
-        q0=pred.params.q0,
-        chi_exponent=chi.c,
-        ell=pred.params.ell,
-        a_chi=pred.params.a_chi,
-        b_chi=pred.params.b_chi,
-        regime=pred.params.regime,
+        *pred.params,
         empirical=emp.value,
         D=pred.D,
         A=pred.secondary,

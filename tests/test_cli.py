@@ -116,8 +116,8 @@ REJECTED = [
     (["recipe", "--p", "5", "--k", "4", "--j", "4"], "error: PreconditionViolated:"),
     (["shift-identity", "--p", "5", "--k", "2", "--j", "3"], "error: PreconditionViolated:"),
     (["moment", "--p", "5", "--k", "4"], "config error:"),
-    (["moment", "--p", "3", "--k", "1", "--j", "1"], "config error:"),
-    (["recipe", "--p", "3", "--k", "1", "--j", "1"], "config error:"),
+    (["moment", "--p", "3", "--k", "1", "--j", "1"], "error: PreconditionViolated:"),
+    (["recipe", "--p", "3", "--k", "1", "--j", "1"], "error: PreconditionViolated:"),
     (["coset-eps", "--p", "5", "--k", "1"], "config error:"),
     (["coset-eps", "--p", "5", "--k", "4", "--j", "1"], "config error:"),
 ]
@@ -268,10 +268,17 @@ class TestConfigErrors:
             assert err.startswith("config error: output path is a directory")
         assert list(tmp_path.iterdir()) == []
 
-    def test_lemma9_huge_level_rejected_at_once(self):
-        # lemma9_scan used to form p**j before the level was checked, and ran
+    @pytest.mark.parametrize(
+        "argv",
+        [["lemma9", "--p", "3", "--k", "2", "--j", "100000000"]]
+        + [[name, "--p", "3", "--k", "4", "--j", j]
+           for name in ("moment", "recipe") for j in ("100000000", "-100000000")],
+        ids=" ".join,
+    )
+    def test_huge_level_rejected_at_once(self, argv):
+        # each formed a power of p from j before the level was checked:
+        # moment died on a float modulo by 0.0 at j = 10^8, and the rest ran
         # until killed; a child, since no signal interrupts that power
-        argv = ["lemma9", "--p", "3", "--k", "2", "--j", "100000000"]
         proc = subprocess.run(
             [sys.executable, "-m", "cosetlfun.cli", *argv],
             capture_output=True,

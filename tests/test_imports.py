@@ -91,6 +91,20 @@ def test_cli_import_loads_neither_fft_nor_random():
     assert proc.stdout.strip() == "[]"
 
 
+def _modules_raising(message: str) -> set:
+    """Names of the modules with a raise statement whose text has message."""
+    return {
+        path.name
+        for path in MODULES
+        for raised in ast.walk(_tree(path))
+        if isinstance(raised, ast.Raise)
+        for node in ast.walk(raised)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and message in node.value
+    }
+
+
 def test_modulus_rule_stated_only_in_modular():
     # `modular.check_modulus` states which (p, k) are moduli; the CLI
     # applies it to the grid instead of restating its checks
@@ -102,17 +116,26 @@ def test_modulus_rule_stated_only_in_modular():
     }
     assert not cli_imports & {"MAX_MODULUS", "is_prime", "check_size"}
     for message in ("is not an odd prime", "exponent must be >= 1"):
-        found = {
-            path.name
-            for path in MODULES
-            for raised in ast.walk(_tree(path))
-            if isinstance(raised, ast.Raise)
-            for node in ast.walk(raised)
-            if isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and message in node.value
-        }
-        assert found == {"modular.py"}, message
+        assert _modules_raising(message) == {"modular.py"}, message
+
+
+def test_moment_level_rule_stated_only_in_characters():
+    # `characters.proper_level` states 1 <= j < k; the moment and recipe
+    # handlers take every power of p from its q0, so none is formed before
+    # the level is checked
+    assert _modules_raising("outside [1,") == {"characters.py"}
+    handlers = {
+        node.name: node
+        for node in _tree(SRC / "cli.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("cmd_moment", "cmd_recipe"):
+        powers = [
+            ast.unparse(node)
+            for node in ast.walk(handlers[name])
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        ]
+        assert powers == [], name
 
 
 def test_dataclasses_are_the_validated_and_mutable_records():

@@ -268,6 +268,11 @@ class TestEmpiricalMoment:
             empirical_coset_moment(CosetSpec(DirichletCharacter(m, 2), 2, "all"))
         with pytest.raises(OddCharacter):
             empirical_coset_moment(CosetSpec(DirichletCharacter(m, 3), 2, "even"))
+        # the proper level 1 <= j < k: j = k would average the principal
+        # character, and j = 0 is the base alone
+        for j in (0, 4):
+            with pytest.raises(PreconditionViolated):
+                empirical_coset_moment(CosetSpec(DirichletCharacter(m, 2), j, "even"))
 
 
 class TestMomentReport:
@@ -335,7 +340,7 @@ def test_secondary_terms_follow_the_window_table(p, monkeypatch):
     # and the terms are stubbed, so no modulus is built (7^9 would need GBs)
     def params(chi, j):
         m = chi.modulus
-        return RecipeParams(m.q, m.p**j, 1, 1, 1, classify_regime(m.k, j))
+        return RecipeParams(m.q, m.p**j, 1, 1, 1, 1, classify_regime(m.k, j))
 
     monkeypatch.setattr(moments, "recipe_params", params)
     monkeypatch.setattr(moments, "_secondary_A", lambda *args: "A")
