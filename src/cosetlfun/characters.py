@@ -157,14 +157,18 @@ class CosetSpec:
     parity: str = "all"
 
     def __post_init__(self):
-        if not 0 <= self.j <= self.base.modulus.k:
-            raise PreconditionViolated(
-                f"level j = {self.j} outside [0, {self.base.modulus.k}]"
-            )
+        level_modulus(self.base.modulus, self.j)
         if self.parity not in ("all", "even", "odd"):
             raise PreconditionViolated(f"unknown parity filter {self.parity!r}")
         if not self.base.is_primitive:
             raise NotPrimitive("coset base must be primitive")
+
+
+def level_modulus(m: PrimePowerModulus, j: int) -> int:
+    """q0 = p^j for a level 0 <= j <= k, the one power of p formed from j."""
+    if not 0 <= j <= m.k:
+        raise PreconditionViolated(f"level j = {j} outside [0, {m.k}]")
+    return m.p**j
 
 
 def proper_level(m: PrimePowerModulus, j: int) -> int:
@@ -207,7 +211,7 @@ def coset_exponents(spec: CosetSpec) -> list:
     for j = 0 it is the base alone.
     """
     m = spec.base.modulus
-    step = m.p ** (m.k - spec.j)
+    step = m.q // level_modulus(m, spec.j)
     want = {"all": (0, 1), "even": (0,), "odd": (1,)}[spec.parity]
     return [c for c in range(spec.base.c % step, m.phi, step) if c % 2 in want]
 

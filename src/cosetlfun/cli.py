@@ -23,6 +23,7 @@ from .characters import (
     CosetSpec,
     DirichletCharacter,
     even_primitive_exponents,
+    level_modulus,
     postnikov_ell,
     primitive_exponents,
     proper_level,
@@ -244,7 +245,7 @@ def cmd_hybrid(args, m: PrimePowerModulus, res: RunResult) -> None:
         hq = hybrid_moment_quadrature(chi, j, args.T, args.T0, args.t_step)
         drift = abs(hq.halved_step_lhs - hq.lhs) / max(1e-30, abs(hq.lhs))
         res.add(
-            m.q, m.p**j, args.T, args.T0, args.t_step,
+            m.q, level_modulus(m, j), args.T, args.T0, args.t_step,
             hq.lhs, hq.envelope, hq.ratio, hq.halved_step_lhs, drift,
         )
         if drift > 0.01:

@@ -16,14 +16,10 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .characters import CosetSpec, DirichletCharacter, enumerate_coset
+from .characters import CosetSpec, DirichletCharacter, enumerate_coset, level_modulus
 from .errors import PreconditionViolated, QuadratureTooCoarse
-from .lcentral import grid_route, l_value
-from .modular import PrimePowerModulus
-
-# caps keeping a full scan under ~1e9 elementary operations
-MAX_SCAN_MODULUS = 3**6
-MAX_SCAN_CELLS = 256
+from .lcentral import _TAYLOR_STEP_TERMS, grid_route, l_value, require_work
+from .modular import PrimePowerModulus, phi_prime_power, require_memory
 
 
 def char_sum_S(
@@ -39,10 +35,7 @@ def char_sum_S(
     at a time so that no shifts x freqs x q array is held.
     """
     m = chi.modulus
-    if not 0 <= j <= m.k:
-        raise PreconditionViolated(f"level j = {j} outside [0, {m.k}]")
-    q = m.q
-    q0 = m.p**j
+    q, q0 = m.q, level_modulus(m, j)
     table = chi.value_table()
     conj = np.conj(table)
     alpha = np.arange(q)
@@ -69,7 +62,6 @@ class Lemma9Scan:
     rows: list[dict] = field(default_factory=list)
     base_ratio: float = 0.0
     max_ratio: float = 0.0
-    max_mass: float = 0.0
     noise_floor: float = 0.0
     # the soft guard's allowance over the base ratio, read by its warning too
     GUARD_FACTOR: ClassVar[float] = 3
@@ -84,7 +76,7 @@ class Lemma9Scan:
         base cell is therefore the first doubling cell with mass above the
         noise floor, and a scan with no massive cell passes vacuously.
         """
-        if self.max_mass <= self.noise_floor:
+        if self.base_ratio == 0.0:
             return True
         return self.max_ratio <= self.GUARD_FACTOR * self.base_ratio
 
@@ -93,12 +85,12 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     """|S| mass over 1 <= |h| <= A', 1 <= |n| <= B' against the envelope
     sqrt(q) (A'B'/sqrt(q0) + (q q0 A')^(1/4)), for doubling (A', B') up to
     the shift cap A and frequency cap B; plus the n = 0 line against q0 * A'."""
+    q, q0 = m.q, level_modulus(m, j)
     if A < 1 or B < 1:
         raise PreconditionViolated("shift and frequency caps must be >= 1")
-    if m.q > MAX_SCAN_MODULUS or A * B > MAX_SCAN_CELLS:
-        raise PreconditionViolated(
-            f"scan size (q = {m.q}, A*B = {A * B}) over the cap"
-        )
+    products = 2 * A * (2 * B + 1) * q  # 2A shifts against 2B + 1 phase rows
+    require_work(f"a scan of {products} products mod {q}", products * _TAYLOR_STEP_TERMS)
+    require_memory(f"the scan's phase rows mod {q}", 32 * (2 * B + 1) * q)
     chi = DirichletCharacter(m, 1)
 
     # |S| for every cell once, the shifts +-h summed; grid points sum sub-blocks
@@ -111,8 +103,6 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
         *sums, zero = map(abs, row.tolist())
         abs_s[i // 2] += sums
         zero_col[i // 2] += zero
-    # formed after char_sum_S has checked the level, so a huge j never reaches p**j
-    q, q0 = m.q, m.p**j
 
     report = Lemma9Scan(noise_floor=1e-9 * math.sqrt(q))
     for a_cap in _doubling(A):
@@ -128,8 +118,6 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
             )
             if report.base_ratio == 0.0 and sum_s > report.noise_floor:
                 report.base_ratio = ratio
-            if sum_s > report.max_mass:
-                report.max_mass = sum_s
             report.max_ratio = max(report.max_ratio, ratio)
         zero_sum = float(zero_col[:a_cap].sum())
         zero_env = float(q0 * a_cap)
@@ -173,9 +161,11 @@ def hybrid_moment_quadrature(
         raise PreconditionViolated("window needs T0 <= T")
     num = math.ceil(T0 / t_step - 1e-12)  # >= 8, as t_step <= T0/8
     # every sample builds one zeta grid of q points, at most as dear as the
-    # one at T + T0, so the window is refused before its samples (or the
-    # coset's members) are allocated
+    # one at T + T0, and sums it against each coset member, so the window is
+    # refused before its samples (or the coset's members) are allocated
     grid_route(m.q, T + T0, 2 * num + 1)
+    sums = (2 * num + 1) * phi_prime_power(m.p, j)
+    require_work(f"{sums} coset sums of {m.q} points", sums * m.q * _TAYLOR_STEP_TERMS)
     members = enumerate_coset(spec)
     # the even-index points are exactly np.linspace(T, T + T0, num + 1)
     ts = np.linspace(T, T + T0, 2 * num + 1)
@@ -185,6 +175,6 @@ def hybrid_moment_quadrature(
     lhs = float(np.trapezoid(ys[::2], ts[::2]))
     halved = float(np.trapezoid(ys, ts))
 
-    q0 = m.p**j
+    q0 = level_modulus(m, j)
     envelope = (T0 + T0**-0.5 * math.sqrt(T)) * (q0 + q0**-0.5 * math.sqrt(m.q))
     return HybridQuadrature(lhs, halved, envelope, lhs / envelope, num + 1)

@@ -29,14 +29,16 @@ _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
 # host, numpy 2.4).  An Euler-Maclaurin grid costs (shift + head) point-terms
 # per point, the head and the Bernoulli terms pricing as _EM_HEAD_TERMS; a
 # Taylor grid costs one power and a Horner step of _TAYLOR_STEP_TERMS per
-# degree per point, plus its centres.  `grid_route` picks the cheaper route
-# and refuses work beyond 2^27 point-terms, about 11 s at the old price and
-# 4-7 s at the new.  The Euler-Maclaurin shift grows like |t|/2; the Taylor
-# centres grow like |t| and each sums such a shift, so their cost grows like
-# t^2 but not with q.  One point is refused past |t| of about
-# 3.6e6 and a 3^10 grid past 4.4e3, both on Euler-Maclaurin; 3^12 and 3^14
-# grids past 1.7e3 and 1.5e3 on Taylor (Euler-Maclaurin alone: 512 and 56).
-_EM_MAX_SHIFT_WORK = 2**27
+# degree per point, plus its centres.  A term of a character sum prices as a
+# Horner step too: 3-6 ns in `char_sum_S` and 6-14 ns in `l_value` at 3^6 to
+# 3^12, against 23-35 ns a `_power` point.  `require_work` refuses work beyond
+# 2^27 point-terms, about 11 s at the old price and 4-7 s at the new.  The
+# Euler-Maclaurin shift grows like |t|/2; the Taylor centres grow like |t| and
+# each sums such a shift, so their cost grows like t^2 but not with q.  One
+# point is refused past |t| of about 3.6e6 and a 3^10 grid past 4.4e3, both on
+# Euler-Maclaurin; 3^12 and 3^14 grids past 1.7e3 and 1.5e3 on Taylor
+# (Euler-Maclaurin alone: 512 and 56).
+_MAX_WORK = 2**27
 _EM_HEAD_TERMS = 8
 _TAYLOR_POINT_TERMS = 1.5
 _TAYLOR_STEP_TERMS = 1 / 8
@@ -99,13 +101,22 @@ def _em_coefficients() -> tuple:
     return coefs, abs(b[-1]) / (b[0] * math.factorial(len(b) - 1))  # B_{2J+2}
 
 
+def require_work(what: str, terms: float) -> None:
+    """Refuse, before any of it is done, `what` priced at `terms` point-terms
+    over the cap, or at a NaN."""
+    if not terms <= _MAX_WORK:
+        raise PreconditionViolated(
+            f"{what}: {terms:.3g} point-terms, over the cap of {_MAX_WORK}"
+        )
+
+
 def em_shift(
     s: complex, x_min: float, cost_per_term: int, target: float = _EM_TAIL_TARGET
 ) -> tuple[int, float]:
     """The least Euler-Maclaurin shift n whose tail bound at x_min meets
     `target`, with the bound at n.  One shift term costs
-    `cost_per_term` point-terms (grid points plus 64 per grid); a shift whose
-    cost exceeds `_EM_MAX_SHIFT_WORK` is refused before anything is summed.
+    `cost_per_term` point-terms (grid points plus 64 per grid); a shift over
+    `require_work`'s cap is refused before anything is summed.
     """
     _, tail_coef = _em_coefficients()
     # |R_J| <= |B_{2J+2}/(2J+2)!| |(s)_{2J+2}| w^(-e)/e, e = sigma + 2J + 1,
@@ -114,11 +125,8 @@ def em_shift(
     e = s.real + top - 1
     c = tail_coef * math.prod(abs(s + i) for i in range(top)) / e
     shift = (c / target) ** (1 / e) - x_min  # inf once c overflows
-    if not shift * cost_per_term <= _EM_MAX_SHIFT_WORK:
-        raise PreconditionViolated(
-            f"Euler-Maclaurin shift of {shift:.3g} terms at |s| = {abs(s):.3g}, "
-            f"{cost_per_term} point-terms each, exceeds the cap of {_EM_MAX_SHIFT_WORK}"
-        )
+    what = f"Euler-Maclaurin shift of {shift:.3g} terms at |s| = {abs(s):.3g}"
+    require_work(what, shift * cost_per_term)
     n_shift = max(0, math.ceil(shift))
     return n_shift, c * (n_shift + x_min) ** -e
 
@@ -216,7 +224,7 @@ def grid_route(q: int, t: float, grids: int = 1) -> int:
     only on (q, |t|).  The Taylor centres are powers of two from the least
     with rho <= 1/2 on, while their Euler-Maclaurin head alone costs less than
     the best route so far.  `grids` such grids at once are refused when they
-    cost more than `_EM_MAX_SHIFT_WORK`.
+    cost more than `require_work` allows.
     """
     s = complex(0.5, t)
     # at one point-term per shift term em_shift refuses only a shift that is
@@ -239,12 +247,8 @@ def grid_route(q: int, t: float, grids: int = 1) -> int:
             if cost < best_cost:
                 best_cost, best = cost, centres
         centres *= 2
-    if not grids * best_cost <= _EM_MAX_SHIFT_WORK:
-        raise PreconditionViolated(
-            f"{grids} zeta grid(s) of {q} points at |s| = {abs(s):.3g} cost "
-            f"{grids * best_cost:.3g} point-terms of Euler-Maclaurin shift or "
-            f"Taylor centres, over the cap of {_EM_MAX_SHIFT_WORK}"
-        )
+    what = f"{grids} zeta grid(s) of {q} points at |s| = {abs(s):.3g}"
+    require_work(f"{what} by Euler-Maclaurin shift or Taylor centres", grids * best_cost)
     return best
 
 

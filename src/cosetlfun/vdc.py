@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CosetSpec, DirichletCharacter, coset_exponents
+from .characters import CosetSpec, DirichletCharacter, coset_exponents, level_modulus
 from .errors import BadShiftBound, PreconditionViolated
 from .modular import PrimePowerModulus, blocks, phi_prime_power, reduce_mod
 
@@ -152,7 +152,7 @@ def coset_shift_identity(
     sums = twisted_sum(a, m, coset_exponents(CosetSpec(chi, j, "all")))
     lhs = np.sum(sums.real**2 + sums.imag**2)
 
-    q0 = m.p**j
+    q0 = level_modulus(m, j)
     chi_row = _character_rows(m, _support_dlogs(a, m), np.array([chi.c]))
     b = a.coefficients * chi_row[0]
     weights = [1.0 if h % q0 == 0 else 0.0 for h in range(len(a))]

@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 import cosetlfun.cli as cli_module
+import cosetlfun.hybrid as hybrid_module
 import cosetlfun.modular as modular_module
 from cosetlfun.characters import DirichletCharacter, even_primitive_exponents
 from cosetlfun.cli import SUBCOMMANDS, build_parser, main
@@ -272,13 +273,17 @@ class TestConfigErrors:
         "argv",
         [["lemma9", "--p", "3", "--k", "2", "--j", "100000000"]]
         + [[name, "--p", "3", "--k", "4", "--j", j]
-           for name in ("moment", "recipe") for j in ("100000000", "-100000000")],
+           for name in ("moment", "recipe") for j in ("100000000", "-100000000")]
+        + [["hybrid", "--p", "3", "--k", k, "--j", j]
+           for k, j in (("10", "9"), ("12", "11"))],
         ids=" ".join,
     )
     def test_huge_level_rejected_at_once(self, argv):
         # each formed a power of p from j before the level was checked:
         # moment died on a float modulo by 0.0 at j = 10^8, and the rest ran
-        # until killed; a child, since no signal interrupts that power
+        # until killed; a child, since no signal interrupts that power.  The
+        # hybrid windows sum 17 grids against 13122 and 118098 members, an
+        # estimated 2 minutes and 3.7 hours, and used to run until killed
         proc = subprocess.run(
             [sys.executable, "-m", "cosetlfun.cli", *argv],
             capture_output=True,
@@ -289,9 +294,15 @@ class TestConfigErrors:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.splitlines()[-1].startswith("error: PreconditionViolated:")
 
-    def test_lemma9_cap_violation(self, capsys):
-        code, _, err = run_cli(capsys, "lemma9", "--p", "3", "--k", "7")
-        assert code == 2
+    def test_lemma9_cap_violation(self, capsys, monkeypatch):
+        # 3^13 at A = B = 16 is 1.7e9 products, over the work cap, and is
+        # refused before any sum; 3^7, over the old fixed cap of 3^6, runs
+        code, out, _ = run_cli(capsys, "lemma9", "--p", "3", "--k", "7")
+        assert code == 0 and out
+        monkeypatch.setattr(hybrid_module, "char_sum_S", None)
+        code, out, err = run_cli(capsys, "lemma9", "--p", "3", "--k", "13")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: PreconditionViolated:") and "point-terms" in err
 
     def test_hybrid_coarse_step(self, capsys):
         code, _, err = run_cli(

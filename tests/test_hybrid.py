@@ -10,8 +10,6 @@ from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
 from cosetlfun.errors import NotPrimitive, PreconditionViolated, QuadratureTooCoarse
 import cosetlfun.hybrid as hybrid_module
 from cosetlfun.hybrid import (
-    MAX_SCAN_CELLS,
-    MAX_SCAN_MODULUS,
     Lemma9Scan,
     char_sum_S,
     hybrid_moment_quadrature,
@@ -184,17 +182,19 @@ class TestLemma9Scan:
             assert r["ratio"] == pytest.approx(r["sum_S"] / r["envelope"])
 
     def test_cell_mass_matches_direct_sum(self):
-        scan = lemma9_scan(modulus(3, 3), 1, 2, 4)
-        chi = DirichletCharacter(modulus(3, 3), 1)
-        for row in scan.rows:
-            if row["kind"] != "offdiag":
-                continue
-            want = 0.0
-            for h in range(1, row["A"] + 1):
-                for n in range(1, row["B"] + 1):
-                    for sh, sn in ((h, n), (h, -n), (-h, n), (-h, -n)):
-                        want += abs(brute_S(chi, sh, 1, sn))
-            assert row["sum_S"] == pytest.approx(want, abs=1e-8)
+        # 3^7 was over the old fixed cap of 3^6; it is priced by its work now
+        for k, A, B in ((3, 2, 4), (7, 1, 4)):
+            scan = lemma9_scan(modulus(3, k), 1, A, B)
+            chi = DirichletCharacter(modulus(3, k), 1)
+            for row in scan.rows:
+                if row["kind"] != "offdiag":
+                    continue
+                want = 0.0
+                for h in range(1, row["A"] + 1):
+                    for n in range(1, row["B"] + 1):
+                        for sh, sn in ((h, n), (h, -n), (-h, n), (-h, -n)):
+                            want += abs(brute_S(chi, sh, 1, sn))
+                assert row["sum_S"] == pytest.approx(want, abs=1e-8)
 
     def test_zero_line_matches_direct_sum(self):
         scan = lemma9_scan(modulus(3, 3), 1, 2, 2)
@@ -213,7 +213,7 @@ class TestLemma9Scan:
     def test_guard_holds_at_level_one(self):
         for k in (4, 5):
             scan = lemma9_scan(modulus(3, k), 1, 16, 16)
-            assert scan.max_mass > scan.noise_floor
+            assert scan.base_ratio > 0
             assert scan.soft_guard_ok()
 
     def test_vacuous_pass_when_no_cell_is_massive(self):
@@ -221,19 +221,32 @@ class TestLemma9Scan:
         # every cell is a structural zero, and the guard must not divide
         # by a noise-level base cell
         scan = lemma9_scan(modulus(3, 5), 2, 8, 8)
-        assert scan.max_mass <= scan.noise_floor
+        offdiag = [r["sum_S"] for r in scan.rows if r["kind"] == "offdiag"]
+        assert max(offdiag) <= scan.noise_floor
         assert scan.base_ratio == 0.0
         assert scan.soft_guard_ok()
 
-    def test_caps_enforced(self):
-        with pytest.raises(PreconditionViolated):
-            lemma9_scan(modulus(3, 7), 1, 4, 4)
-        with pytest.raises(PreconditionViolated):
-            lemma9_scan(modulus(3, 4), 1, 32, 32)
+    def test_caps_enforced(self, monkeypatch):
+        # a scan costs 2A(2B + 1)q products at an eighth of a point-term
+        # each, so 2^30 products fit under the cap: at q = 81 and B = 1 that
+        # is A <= 2209345; at A = B = 16, 3^12 (5.6e8 products) fits and
+        # 3^13 (1.7e9) does not.  Each is refused before char_sum_S runs.
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(hybrid_module, "char_sum_S", reached)
+        for k, A, B in ((13, 16, 16), (4, 2209346, 1), (4, 1, 2**40)):
+            with pytest.raises(PreconditionViolated, match="point-terms"):
+                lemma9_scan(modulus(3, k), 1, A, B)
+        with pytest.raises(Reached):
+            lemma9_scan(modulus(3, 12), 1, 16, 16)
 
     def test_guard_factor_sensitivity(self):
         scan = lemma9_scan(modulus(3, 4), 1, 16, 16)
-        assert scan.max_mass > scan.noise_floor
+        assert scan.base_ratio > 0
         scan.max_ratio = 3 * scan.base_ratio
         assert scan.soft_guard_ok()
         scan.max_ratio = 3.001 * scan.base_ratio
@@ -266,28 +279,48 @@ class TestHybridQuadrature:
             hybrid_moment_quadrature(chi, 1, T=1.0, T0=2.0, t_step=0.25)
 
     @pytest.mark.parametrize(
-        "T,T0,t_step",
+        "k,j,T,T0,t_step",
         [
-            (1.0, 2.0, 0.25),
-            (10.0, 2.0, 1e-9),
-            (10.0, 2.0, 1e-320),
-            (1e308, 1e308, 0.25),
-            (math.inf, math.inf, 0.25),
-            (math.nan, 2.0, 0.25),
+            (4, 1, 1.0, 2.0, 0.25),
+            (4, 1, 10.0, 2.0, 1e-9),
+            (4, 1, 10.0, 2.0, 1e-320),
+            (4, 1, 1e308, 1e308, 0.25),
+            (4, 1, math.inf, math.inf, 0.25),
+            (4, 1, math.nan, 2.0, 0.25),
+            # 17 grids of 3^10 points fit under the cap; their sums against
+            # 13122 members (1.3e10 products) do not
+            (10, 9, 10.0, 2.0, 0.25),
         ],
         ids=[
             "window-past-T", "window-over-work-cap", "step-count-overflows",
             "window-end-overflows", "infinite-window", "nan-start",
+            "coset-sums-over-work-cap",
         ],
     )
-    def test_refuses_before_enumerating_the_coset(self, T, T0, t_step, monkeypatch):
+    def test_refuses_before_enumerating_the_coset(self, k, j, T, T0, t_step, monkeypatch):
         def unreachable(spec):
             raise AssertionError("coset enumerated before the window was checked")
 
         monkeypatch.setattr(hybrid_module, "enumerate_coset", unreachable)
-        chi = DirichletCharacter(modulus(3, 4), 1)
+        chi = DirichletCharacter(modulus(3, k), 1)
         with pytest.raises(PreconditionViolated):
-            hybrid_moment_quadrature(chi, 1, T=T, T0=T0, t_step=t_step)
+            hybrid_moment_quadrature(chi, j, T=T, T0=T0, t_step=t_step)
+
+    def test_coset_sums_priced_at_their_edge(self, monkeypatch):
+        # at an eighth of a point-term a product, 2^30 products fit: 17
+        # samples of 3^10 points against 486 members (j = 6) but not 1458
+        class Reached(Exception):
+            pass
+
+        def reached(spec):
+            raise Reached
+
+        monkeypatch.setattr(hybrid_module, "enumerate_coset", reached)
+        chi = DirichletCharacter(modulus(3, 10), 1)
+        with pytest.raises(Reached):
+            hybrid_moment_quadrature(chi, 6)
+        with pytest.raises(PreconditionViolated, match="coset sums"):
+            hybrid_moment_quadrature(chi, 7)
 
     def test_rejects_imprimitive_base(self):
         with pytest.raises(NotPrimitive):

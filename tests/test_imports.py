@@ -138,6 +138,39 @@ def test_moment_level_rule_stated_only_in_characters():
         assert powers == [], name
 
 
+def test_work_cap_and_level_range_stated_once():
+    # `lcentral.require_work` is the one refusal of work over the cap, and
+    # `characters.level_modulus` states 0 <= j <= k and forms q0 = p^j, so
+    # the hybrid scans and the coset shift identity form no power of p
+    raisers = {
+        (path.name, func.name)
+        for path in MODULES
+        for func in ast.walk(_tree(path))
+        if isinstance(func, ast.FunctionDef)
+        for raised in ast.walk(func)
+        if isinstance(raised, ast.Raise) and "point-terms" in ast.unparse(raised)
+    }
+    assert raisers == {("lcentral.py", "require_work")}
+    assert _modules_raising("outside [0,") == {"characters.py"}
+    handlers = {
+        node.name: node
+        for node in _tree(SRC / "cli.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    scopes = {
+        "cmd_hybrid": handlers["cmd_hybrid"],
+        "hybrid.py": _tree(SRC / "hybrid.py"),
+        "vdc.py": _tree(SRC / "vdc.py"),
+    }
+    for name, scope in scopes.items():
+        bases = {
+            ast.unparse(node.left)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        }
+        assert not bases & {"p", "m.p"}, (name, bases)
+
+
 def test_dataclasses_are_the_validated_and_mutable_records():
     # value-only records are NamedTuples; a dataclass either checks its
     # fields in __post_init__, is mutated, or has a factory default
