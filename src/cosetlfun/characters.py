@@ -176,7 +176,7 @@ def proper_level(m: PrimePowerModulus, j: int) -> int:
     p a moment forms is q0 or q // q0, so none is formed before this check."""
     if not 1 <= j < m.k:
         raise PreconditionViolated(f"level j = {j} outside [1, {m.k})")
-    return m.p**j
+    return level_modulus(m, j)
 
 
 def even_family(spec: CosetSpec) -> int:

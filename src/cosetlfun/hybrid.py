@@ -49,10 +49,7 @@ def char_sum_S(
 
 
 def _doubling(limit: int) -> list[int]:
-    out = [1]
-    while out[-1] * 2 <= limit:
-        out.append(out[-1] * 2)
-    return out
+    return [1 << i for i in range(limit.bit_length())]
 
 
 @dataclass
@@ -88,15 +85,20 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     q, q0 = m.q, level_modulus(m, j)
     if A < 1 or B < 1:
         raise PreconditionViolated("shift and frequency caps must be >= 1")
-    products = 2 * A * (2 * B + 1) * q  # 2A shifts against 2B + 1 phase rows
-    require_work(f"a scan of {products} products mod {q}", products * _TAYLOR_STEP_TERMS)
-    require_memory(f"the scan's phase rows mod {q}", 32 * (2 * B + 1) * q)
+    # in exact ints, however large A and B: per phase row q exponentials at a
+    # point-term and 64 for its Python items; per shift 64 for each of eight
+    # numpy calls, and per row q products at a Horner step and 8 for an abs
+    rows, cell = 2 * B + 1, math.ceil(q * _TAYLOR_STEP_TERMS) + 8
+    what = f"a scan to A = {A}, B = {B} mod {q}"
+    require_work(what, rows * (q + 64) + 2 * A * (rows * cell + 8 * 64))
+    # bytes: per row 32q of phases and one product, about 180 of Python items
+    # and 40 a shift h in `out`, `abs_s` and `zero_col`; 36 a shift in `shifts`
+    require_memory(f"the arrays of {what}", rows * (32 * q + 180 + 40 * A) + 72 * A)
     chi = DirichletCharacter(m, 1)
 
     # |S| for every cell once, the shifts +-h summed; grid points sum sub-blocks
     freqs = [sn for n in range(1, B + 1) for sn in (n, -n)]
-    abs_s = np.zeros((A, 2 * B))
-    zero_col = np.zeros(A)
+    abs_s, zero_col = np.zeros((A, 2 * B)), np.zeros(A)
     shifts = [sh for h in range(1, A + 1) for sh in (h, -h)]
     for i, row in enumerate(char_sum_S(chi, shifts, j, freqs + [0])):
         # Python abs per value: np.abs rounds some noise cells differently
@@ -160,9 +162,8 @@ def hybrid_moment_quadrature(
     if T0 > T:
         raise PreconditionViolated("window needs T0 <= T")
     num = math.ceil(T0 / t_step - 1e-12)  # >= 8, as t_step <= T0/8
-    # every sample builds one zeta grid of q points, at most as dear as the
-    # one at T + T0, and sums it against each coset member, so the window is
-    # refused before its samples (or the coset's members) are allocated
+    # each sample builds a zeta grid of q points, at most as dear as the one at
+    # T + T0, and sums it against each member, priced before either is formed
     grid_route(m.q, T + T0, 2 * num + 1)
     sums = (2 * num + 1) * phi_prime_power(m.p, j)
     require_work(f"{sums} coset sums of {m.q} points", sums * m.q * _TAYLOR_STEP_TERMS)

@@ -12,6 +12,7 @@ computed here from their defining series, not pasted in as literals.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,21 +24,19 @@ from .modular import blocks
 
 _EM_TAIL_TARGET = 2**-52  # one ulp of 1
 _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
-# Work is priced in point-terms: one complex power on one grid point, plus 64
-# per array for numpy dispatch.  A power took 60-85 ns as numpy's complex
-# power when these constants were set, and takes 30-55 ns as `_power` (2-core
-# host, numpy 2.4).  An Euler-Maclaurin grid costs (shift + head) point-terms
-# per point, the head and the Bernoulli terms pricing as _EM_HEAD_TERMS; a
-# Taylor grid costs one power and a Horner step of _TAYLOR_STEP_TERMS per
-# degree per point, plus its centres.  A term of a character sum prices as a
-# Horner step too: 3-6 ns in `char_sum_S` and 6-14 ns in `l_value` at 3^6 to
-# 3^12, against 23-35 ns a `_power` point.  `require_work` refuses work beyond
-# 2^27 point-terms, about 11 s at the old price and 4-7 s at the new.  The
-# Euler-Maclaurin shift grows like |t|/2; the Taylor centres grow like |t| and
-# each sums such a shift, so their cost grows like t^2 but not with q.  One
-# point is refused past |t| of about 3.6e6 and a 3^10 grid past 4.4e3, both on
-# Euler-Maclaurin; 3^12 and 3^14 grids past 1.7e3 and 1.5e3 on Taylor
-# (Euler-Maclaurin alone: 512 and 56).
+# Work is priced in point-terms: one complex power on one grid point (30-55 ns
+# as `_power` on a 2-core host with numpy 2.4, 60-85 ns as numpy's complex
+# power), plus 64 per array for numpy dispatch.  An Euler-Maclaurin grid costs
+# (shift + head) point-terms per point, the head and the Bernoulli terms
+# pricing as _EM_HEAD_TERMS; a Taylor grid one power and a Horner step of
+# _TAYLOR_STEP_TERMS per degree per point, plus its centres.  A product in a
+# character sum prices as a Horner step too (3-6 ns in `char_sum_S`, 6-14 ns
+# in `l_value`, at 3^6 to 3^12).  `require_work` refuses work beyond 2^27
+# point-terms, about 4-7 s.  The Euler-Maclaurin shift grows like |t|/2; the
+# Taylor centres grow like |t| and each sums such a shift, so their cost grows
+# like t^2 but not with q.  One point is refused past |t| of about 3.6e6 and a
+# 3^10 grid past 4.4e3, both on Euler-Maclaurin; 3^12 and 3^14 grids past
+# 1.7e3 and 1.5e3 on Taylor (Euler-Maclaurin alone: 512 and 56).
 _MAX_WORK = 2**27
 _EM_HEAD_TERMS = 8
 _TAYLOR_POINT_TERMS = 1.5
@@ -103,11 +102,10 @@ def _em_coefficients() -> tuple:
 
 def require_work(what: str, terms: float) -> None:
     """Refuse, before any of it is done, `what` priced at `terms` point-terms
-    over the cap, or at a NaN."""
+    over the cap, or at a NaN; an int price is compared exactly."""
     if not terms <= _MAX_WORK:
-        raise PreconditionViolated(
-            f"{what}: {terms:.3g} point-terms, over the cap of {_MAX_WORK}"
-        )
+        shown = math.inf if terms > sys.float_info.max else terms
+        raise PreconditionViolated(f"{what}: {shown:.3g} point-terms, over {_MAX_WORK}")
 
 
 def em_shift(
@@ -247,8 +245,9 @@ def grid_route(q: int, t: float, grids: int = 1) -> int:
             if cost < best_cost:
                 best_cost, best = cost, centres
         centres *= 2
-    what = f"{grids} zeta grid(s) of {q} points at |s| = {abs(s):.3g}"
-    require_work(f"{what} by Euler-Maclaurin shift or Taylor centres", grids * best_cost)
+    what = f"{grids} zeta grid(s) of {q} points at |s| = {abs(s):.3g} by"
+    what += " Euler-Maclaurin shift or Taylor centres"
+    require_work(what, grids * math.ceil(best_cost))  # exact for any grids
     return best
 
 

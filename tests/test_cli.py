@@ -275,15 +275,20 @@ class TestConfigErrors:
         + [[name, "--p", "3", "--k", "4", "--j", j]
            for name in ("moment", "recipe") for j in ("100000000", "-100000000")]
         + [["hybrid", "--p", "3", "--k", k, "--j", j]
-           for k, j in (("10", "9"), ("12", "11"))],
-        ids=" ".join,
+           for k, j in (("10", "9"), ("12", "11"))]
+        + [["lemma9", "--p", "3", "--k", "1", "--A", A, "--B", B]
+           for A, B in (("59000000", "1"), ("1" + "0" * 400, "1"), ("1", "1" + "0" * 400))],
+        ids=lambda argv: " ".join(a if len(a) < 12 else f"1e{len(a) - 1}" for a in argv),
     )
     def test_huge_level_rejected_at_once(self, argv):
         # each formed a power of p from j before the level was checked:
         # moment died on a float modulo by 0.0 at j = 10^8, and the rest ran
         # until killed; a child, since no signal interrupts that power.  The
         # hybrid windows sum 17 grids against 13122 and 118098 members, an
-        # estimated 2 minutes and 3.7 hours, and used to run until killed
+        # estimated 2 minutes and 3.7 hours, and used to run until killed.
+        # The lemma9 scans are as dear: 1.2e8 shifts, whose products alone
+        # fit under the cap, would hold about 10 GB of per-shift arrays and
+        # ints, and a cap of 10^400 must be priced without a float overflow
         proc = subprocess.run(
             [sys.executable, "-m", "cosetlfun.cli", *argv],
             capture_output=True,
@@ -295,7 +300,7 @@ class TestConfigErrors:
         assert proc.stderr.splitlines()[-1].startswith("error: PreconditionViolated:")
 
     def test_lemma9_cap_violation(self, capsys, monkeypatch):
-        # 3^13 at A = B = 16 is 1.7e9 products, over the work cap, and is
+        # 3^13 at A = B = 16 is 2.6e8 point-terms, over the work cap, and is
         # refused before any sum; 3^7, over the old fixed cap of 3^6, runs
         code, out, _ = run_cli(capsys, "lemma9", "--p", "3", "--k", "7")
         assert code == 0 and out

@@ -7,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cosetlfun.characters import CosetSpec, DirichletCharacter, enumerate_coset
-from cosetlfun.errors import NotPrimitive, PreconditionViolated, QuadratureTooCoarse
+from cosetlfun.errors import (
+    InvalidModulus, NotPrimitive, PreconditionViolated, QuadratureTooCoarse,
+)
 import cosetlfun.hybrid as hybrid_module
+import cosetlfun.modular as modular_module
 from cosetlfun.hybrid import (
     Lemma9Scan,
     char_sum_S,
@@ -227,10 +230,12 @@ class TestLemma9Scan:
         assert scan.soft_guard_ok()
 
     def test_caps_enforced(self, monkeypatch):
-        # a scan costs 2A(2B + 1)q products at an eighth of a point-term
-        # each, so 2^30 products fit under the cap: at q = 81 and B = 1 that
-        # is A <= 2209345; at A = B = 16, 3^12 (5.6e8 products) fits and
-        # 3^13 (1.7e9) does not.  Each is refused before char_sum_S runs.
+        # a scan is priced by its phase rows, its shifts and its cells, so
+        # the cap bounds each alone: at q = 81 and B = 1 it admits A <= 117941
+        # (2.9 s), and at q = 3 A = 59000000, whose products alone fit, is
+        # refused for its 1.2e8 shifts; at A = B = 16, 3^12 (8.8e7
+        # point-terms, 5.0 s) fits and 3^13 (2.6e8) does not; caps past the
+        # float range are priced exactly.  Each is refused before char_sum_S.
         class Reached(Exception):
             pass
 
@@ -238,11 +243,23 @@ class TestLemma9Scan:
             raise Reached
 
         monkeypatch.setattr(hybrid_module, "char_sum_S", reached)
-        for k, A, B in ((13, 16, 16), (4, 2209346, 1), (4, 1, 2**40)):
+        refused = (
+            (13, 16, 16), (4, 117942, 1), (4, 1, 2**40), (1, 59000000, 1),
+            (1, 10**400, 1), (1, 1, 10**400),
+        )
+        for k, A, B in refused:
             with pytest.raises(PreconditionViolated, match="point-terms"):
                 lemma9_scan(modulus(3, k), 1, A, B)
+        for k, A, B in ((12, 16, 16), (4, 117941, 1)):
+            with pytest.raises(Reached):
+                lemma9_scan(modulus(3, k), 1, A, B)
+        # the per-shift arrays are priced too: at 3^4, A = 1000 and B = 16
+        # hold about 1.5 MB, of which the phase rows are 86 kB
+        monkeypatch.setattr(modular_module, "_physical_memory", lambda: 10**6)
+        with pytest.raises(InvalidModulus, match="the arrays of a scan"):
+            lemma9_scan(modulus(3, 4), 1, 1000, 16)
         with pytest.raises(Reached):
-            lemma9_scan(modulus(3, 12), 1, 16, 16)
+            lemma9_scan(modulus(3, 4), 1, 1, 16)
 
     def test_guard_factor_sensitivity(self):
         scan = lemma9_scan(modulus(3, 4), 1, 16, 16)
@@ -287,6 +304,8 @@ class TestHybridQuadrature:
             (4, 1, 1e308, 1e308, 0.25),
             (4, 1, math.inf, math.inf, 0.25),
             (4, 1, math.nan, 2.0, 0.25),
+            # 1.7e308 samples: their exact int price is past the float range
+            (4, 1, 10.0, 2.0, 1.2e-308),
             # 17 grids of 3^10 points fit under the cap; their sums against
             # 13122 members (1.3e10 products) do not
             (10, 9, 10.0, 2.0, 0.25),
@@ -294,6 +313,7 @@ class TestHybridQuadrature:
         ids=[
             "window-past-T", "window-over-work-cap", "step-count-overflows",
             "window-end-overflows", "infinite-window", "nan-start",
+            "step-count-past-float",
             "coset-sums-over-work-cap",
         ],
     )
