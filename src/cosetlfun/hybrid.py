@@ -19,7 +19,7 @@ import numpy as np
 from .characters import CosetSpec, DirichletCharacter, enumerate_coset, level_modulus
 from .errors import PreconditionViolated, QuadratureTooCoarse
 from .lcentral import _TAYLOR_STEP_TERMS, grid_route, l_value, require_work
-from .modular import PrimePowerModulus, phi_prime_power, require_memory
+from .modular import BLOCK, PrimePowerModulus, blocks, phi_prime_power, require_memory
 
 
 def char_sum_S(
@@ -29,22 +29,22 @@ def char_sum_S(
     as a (len(hs), len(freqs)) array: one row per shift h in `hs`, one
     column per frequency n in `freqs`.
 
-    Direct summation; terms where alpha or alpha + h*q0 shares a factor with
-    q vanish through the character table.  The phase rows are formed once
-    per call, and each shift sums its weight against all of them, one shift
-    at a time so that no shifts x freqs x q array is held.
+    Direct summation, each cell one pairwise sum of q terms against phase
+    rows formed once per call; terms where alpha or alpha + h*q0 shares a
+    factor with q vanish through the character table.
     """
-    m = chi.modulus
-    q, q0 = m.q, level_modulus(m, j)
-    table = chi.value_table()
+    q, q0 = chi.modulus.q, level_modulus(chi.modulus, j)
+    table, alpha = chi.value_table(), np.arange(q)
     conj = np.conj(table)
-    alpha = np.arange(q)
-    angles = np.array([2j * np.pi * (n % q) / q for n in freqs], dtype=complex)
+    # the bits of 2j * pi * (n % q) / q in Python complex arithmetic
+    angles = 1j * (2 * np.pi * (np.asarray(freqs, dtype=np.int64) % q) / q)
     phases = np.exp(angles[:, None] * alpha)
+    # shifts mod q keep h * q0 < q^2 < 2^62 inside int64
+    hs = np.asarray(hs, dtype=np.int64) % q
     out = np.empty((len(hs), len(freqs)), dtype=np.complex128)
-    for row, h in zip(out, hs):
-        w = table[(alpha + h * q0) % q] * conj
-        np.sum(w * phases, axis=1, out=row)
+    for b in blocks(len(hs), (len(freqs) + 1) * q):
+        w = table[(alpha + hs[b, None] * q0) % q] * conj
+        np.sum(w[:, None, :] * phases, axis=2, out=out[b])
     return out
 
 
@@ -85,26 +85,25 @@ def lemma9_scan(m: PrimePowerModulus, j: int, A: int, B: int) -> Lemma9Scan:
     q, q0 = m.q, level_modulus(m, j)
     if A < 1 or B < 1:
         raise PreconditionViolated("shift and frequency caps must be >= 1")
-    # in exact ints, however large A and B: per phase row q exponentials at a
-    # point-term and 64 for its Python items; per shift 64 for each of eight
-    # numpy calls, and per row q products at a Horner step and 8 for an abs
-    rows, cell = 2 * B + 1, math.ceil(q * _TAYLOR_STEP_TERMS) + 8
+    # in exact ints, however large A and B, in point-terms: 1 a phase-row
+    # exponential (25-34 ns), 1/4 a weight-row element (7-13 ns), 1/8 a
+    # product (2-4 ns) and 2 a cell for its numpy calls (60-70 ns at q = 3)
+    rows, step = 2 * B + 1, math.ceil(q * _TAYLOR_STEP_TERMS)
     what = f"a scan to A = {A}, B = {B} mod {q}"
-    require_work(what, rows * (q + 64) + 2 * A * (rows * cell + 8 * 64))
-    # bytes: per row 32q of phases and one product, about 180 of Python items
-    # and 40 a shift h in `out`, `abs_s` and `zero_col`; 36 a shift in `shifts`
-    require_memory(f"the arrays of {what}", rows * (32 * q + 180 + 40 * A) + 72 * A)
-    chi = DirichletCharacter(m, 1)
+    require_work(what, rows * q + 2 * A * (2 * step + rows * (step + 2)))
+    # bytes: 16 a phase-row element and an element of one block, 16 a shift
+    # for the shift arrays and 32 a cell for `out`, its hypot, fold and abs_s
+    arrays = 16 * (rows * q + max(BLOCK, (rows + 1) * q)) + 32 * A * (2 * rows + 1)
+    require_memory(f"the arrays of {what}", arrays)
 
     # |S| for every cell once, the shifts +-h summed; grid points sum sub-blocks
-    freqs = [sn for n in range(1, B + 1) for sn in (n, -n)]
-    abs_s, zero_col = np.zeros((A, 2 * B)), np.zeros(A)
-    shifts = [sh for h in range(1, A + 1) for sh in (h, -h)]
-    for i, row in enumerate(char_sum_S(chi, shifts, j, freqs + [0])):
-        # Python abs per value: np.abs rounds some noise cells differently
-        *sums, zero = map(abs, row.tolist())
-        abs_s[i // 2] += sums
-        zero_col[i // 2] += zero
+    shifts = (np.arange(1, A + 1)[:, None] * [1, -1]).ravel()
+    freqs = np.append((np.arange(1, B + 1)[:, None] * [1, -1]).ravel(), 0)
+    s = char_sum_S(DirichletCharacter(m, 1), shifts, j, freqs)
+    # hypot rounds as Python's abs does (np.abs moves some noise cells)
+    folded = np.hypot(s.real, s.imag).reshape(A, 2, rows).sum(axis=1)
+    # contiguous, so that a slice of whole rows sums as one pairwise run
+    abs_s, zero_col = np.ascontiguousarray(folded[:, :-1]), folded[:, -1]
 
     report = Lemma9Scan(noise_floor=1e-9 * math.sqrt(q))
     for a_cap in _doubling(A):

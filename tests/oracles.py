@@ -172,6 +172,23 @@ def char_sum_S_oracle(
     ]
 
 
+def lemma9_fold_oracle(
+    chi: DirichletCharacter, j: int, A: int, B: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The |S| tables of a scan to A, B: `char_sum_S_oracle` at each shift
+    1, -1, ..., A, -A over the frequencies 1, -1, ..., B, -B, 0, folded one
+    row at a time with Python's abs of each value, the rows of h and -h
+    added into one row of abs_s (A x 2B) and one entry of the n = 0 column."""
+    freqs = [sn for n in range(1, B + 1) for sn in (n, -n)] + [0]
+    abs_s, zero_col = np.zeros((A, 2 * B)), np.zeros(A)
+    for h in range(1, A + 1):
+        for sh in (h, -h):
+            *sums, zero = map(abs, char_sum_S_oracle(chi, sh, j, freqs))
+            abs_s[h - 1] += sums
+            zero_col[h - 1] += zero
+    return abs_s, zero_col
+
+
 def coset_exponents_oracle(spec: CosetSpec) -> list:
     """Exponents of the coset's members, parity-filtered, ascending: the
     base exponent plus every multiple of p^(k-j) below the subgroup order,

@@ -287,8 +287,8 @@ class TestConfigErrors:
         # hybrid windows sum 17 grids against 13122 and 118098 members, an
         # estimated 2 minutes and 3.7 hours, and used to run until killed.
         # The lemma9 scans are as dear: 1.2e8 shifts, whose products alone
-        # fit under the cap, would hold about 10 GB of per-shift arrays and
-        # ints, and a cap of 10^400 must be priced without a float overflow
+        # fit under the cap, are 1.3e9 point-terms and would hold about 13 GB
+        # of arrays, and a cap of 10^400 must be priced without a float overflow
         proc = subprocess.run(
             [sys.executable, "-m", "cosetlfun.cli", *argv],
             capture_output=True,
@@ -300,7 +300,7 @@ class TestConfigErrors:
         assert proc.stderr.splitlines()[-1].startswith("error: PreconditionViolated:")
 
     def test_lemma9_cap_violation(self, capsys, monkeypatch):
-        # 3^13 at A = B = 16 is 2.6e8 point-terms, over the work cap, and is
+        # 3^13 at A = B = 16 is 2.8e8 point-terms, over the work cap, and is
         # refused before any sum; 3^7, over the old fixed cap of 3^6, runs
         code, out, _ = run_cli(capsys, "lemma9", "--p", "3", "--k", "7")
         assert code == 0 and out

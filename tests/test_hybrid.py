@@ -19,8 +19,8 @@ from cosetlfun.hybrid import (
     lemma9_scan,
 )
 from cosetlfun.lcentral import l_value
-from cosetlfun.modular import modulus
-from oracles import char_sum_S_oracle
+from cosetlfun.modular import BLOCK, modulus
+from oracles import char_sum_S_oracle, lemma9_fold_oracle
 
 
 def brute_S(chi, h, j, n):
@@ -34,6 +34,17 @@ def brute_S(chi, h, j, n):
             * cmath.exp(2j * cmath.pi * ((alpha * n) % q) / q)
         )
     return total
+
+
+def assert_fold_matches_oracle(scan, chi, j, A, B):
+    # the hypot fold gives the per-row Python abs fold's sums bit for bit,
+    # the structural-zero noise cells included
+    abs_s, zero_col = lemma9_fold_oracle(chi, j, A, B)
+    for row in scan.rows:
+        if row["kind"] == "zero_line":
+            assert row["sum_S"] == float(zero_col[: row["A"]].sum())
+        else:
+            assert row["sum_S"] == float(abs_s[: row["A"], : 2 * row["B"]].sum())
 
 
 class TestCharSumS:
@@ -125,13 +136,33 @@ class TestCharSumS:
         chi = DirichletCharacter(m, c)
         j = data.draw(st.integers(0, m.k))
         hs = data.draw(st.lists(st.integers(-2 * q, 2 * q), max_size=6))
+        # at q <= 27 a few thousand shifts span many blocks of shifts
+        extra = data.draw(st.integers(0, 4000 if q <= 27 else 0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        hs += rng.integers(-2 * q, 2 * q + 1, extra).tolist()
         freqs = data.draw(st.lists(st.integers(-2 * q, 2 * q), max_size=8))
         freqs += [0, q, -q]
         got = char_sum_S(chi, hs, j, freqs)
         assert got.shape == (len(hs), len(freqs))
+        oracle = {h: np.array(char_sum_S_oracle(chi, h, j, freqs)) for h in set(hs)}
         for row, h in zip(got, hs):
-            want = np.array(char_sum_S_oracle(chi, h, j, freqs))
-            np.testing.assert_array_equal(row.view(np.float64), want.view(np.float64))
+            np.testing.assert_array_equal(
+                row.view(np.float64), oracle[h].view(np.float64)
+            )
+
+    def test_one_shift_blocks_match_oracle_bitwise(self):
+        # 33 frequencies at 3^8 make a shift's products 33 * 6561 > BLOCK
+        # elements, so every block holds one shift
+        m = modulus(3, 8)
+        chi = DirichletCharacter(m, 5)
+        hs, freqs = [1, -1, 2, 3**7], list(range(-16, 17))
+        assert len(freqs) * m.q > BLOCK
+        for j in (1, 2):
+            for row, h in zip(char_sum_S(chi, hs, j, freqs), hs):
+                want = np.array(char_sum_S_oracle(chi, h, j, freqs))
+                np.testing.assert_array_equal(
+                    row.view(np.float64), want.view(np.float64)
+                )
 
 
 class TestScanGrid:
@@ -189,6 +220,7 @@ class TestLemma9Scan:
         for k, A, B in ((3, 2, 4), (7, 1, 4)):
             scan = lemma9_scan(modulus(3, k), 1, A, B)
             chi = DirichletCharacter(modulus(3, k), 1)
+            assert_fold_matches_oracle(scan, chi, 1, A, B)
             for row in scan.rows:
                 if row["kind"] != "offdiag":
                     continue
@@ -198,6 +230,14 @@ class TestLemma9Scan:
                         for sh, sn in ((h, n), (h, -n), (-h, n), (-h, -n)):
                             want += abs(brute_S(chi, sh, 1, sn))
                 assert row["sum_S"] == pytest.approx(want, abs=1e-8)
+
+    def test_fold_keeps_bits_on_long_slices(self):
+        # the (2048, 8) cell sums 32768 values, past the 8192 that numpy
+        # buffers at a time from a strided slice, so a non-contiguous abs_s
+        # would sum it in a different order
+        m = modulus(3, 3)
+        scan = lemma9_scan(m, 1, 2048, 8)
+        assert_fold_matches_oracle(scan, DirichletCharacter(m, 1), 1, 2048, 8)
 
     def test_zero_line_matches_direct_sum(self):
         scan = lemma9_scan(modulus(3, 3), 1, 2, 2)
@@ -230,12 +270,13 @@ class TestLemma9Scan:
         assert scan.soft_guard_ok()
 
     def test_caps_enforced(self, monkeypatch):
-        # a scan is priced by its phase rows, its shifts and its cells, so
-        # the cap bounds each alone: at q = 81 and B = 1 it admits A <= 117941
-        # (2.9 s), and at q = 3 A = 59000000, whose products alone fit, is
-        # refused for its 1.2e8 shifts; at A = B = 16, 3^12 (8.8e7
-        # point-terms, 5.0 s) fits and 3^13 (2.6e8) does not; caps past the
-        # float range are priced exactly.  Each is refused before char_sum_S.
+        # a scan is priced by the array elements it touches: its phase rows,
+        # weight rows, products and cells, so the cap bounds each alone: at
+        # q = 81 and B = 1 it admits A <= 1100143 (3.6 s), and at q = 3
+        # A = 59000000, whose products alone fit, is refused for its 3.5e8
+        # cells; at A = B = 16, 3^12 (9.2e7 point-terms, 4.2 s) fits and 3^13
+        # (2.8e8) does not; caps past the float range are priced exactly.
+        # Each is refused before char_sum_S.
         class Reached(Exception):
             pass
 
@@ -244,17 +285,17 @@ class TestLemma9Scan:
 
         monkeypatch.setattr(hybrid_module, "char_sum_S", reached)
         refused = (
-            (13, 16, 16), (4, 117942, 1), (4, 1, 2**40), (1, 59000000, 1),
+            (13, 16, 16), (4, 1100144, 1), (4, 1, 2**40), (1, 59000000, 1),
             (1, 10**400, 1), (1, 1, 10**400),
         )
         for k, A, B in refused:
             with pytest.raises(PreconditionViolated, match="point-terms"):
                 lemma9_scan(modulus(3, k), 1, A, B)
-        for k, A, B in ((12, 16, 16), (4, 117941, 1)):
+        for k, A, B in ((12, 16, 16), (4, 117941, 1), (4, 1100143, 1)):
             with pytest.raises(Reached):
                 lemma9_scan(modulus(3, k), 1, A, B)
-        # the per-shift arrays are priced too: at 3^4, A = 1000 and B = 16
-        # hold about 1.5 MB, of which the phase rows are 86 kB
+        # the arrays are priced too: at 3^4, A = 1000 and B = 16 hold about
+        # 2.3 MB, of which the phase rows are 43 kB and one block 131 kB
         monkeypatch.setattr(modular_module, "_physical_memory", lambda: 10**6)
         with pytest.raises(InvalidModulus, match="the arrays of a scan"):
             lemma9_scan(modulus(3, 4), 1, 1000, 16)

@@ -171,6 +171,31 @@ def test_work_cap_and_level_range_stated_once():
         assert not bases & {"p", "m.p"}, (name, bases)
 
 
+def test_lemma9_scan_runs_as_whole_array_passes():
+    # `char_sum_S` loops only over blocks of shifts and `lemma9_scan` forms
+    # its shifts and frequencies as arrays, so no Python work is done per
+    # shift, frequency or cell
+    source = (SRC / "hybrid.py").read_text()
+    assert ".tolist()" not in source and "map(abs" not in source
+    funcs = {
+        node.name: node
+        for node in _tree(SRC / "hybrid.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    loops = [
+        node for node in ast.walk(funcs["char_sum_S"])
+        if isinstance(node, (ast.For, ast.comprehension))
+    ]
+    assert len(loops) == 1 and ast.unparse(loops[0].iter).startswith("blocks(")
+    ranges = {
+        ast.unparse(gen.iter)
+        for node in ast.walk(funcs["lemma9_scan"])
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+        for gen in node.generators
+    }
+    assert not ranges & {"range(1, A + 1)", "range(1, B + 1)"}
+
+
 def test_dataclasses_are_the_validated_and_mutable_records():
     # value-only records are NamedTuples; a dataclass either checks its
     # fields in __post_init__, is mutated, or has a factory default
