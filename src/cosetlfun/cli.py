@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .characters import (
@@ -41,7 +41,7 @@ from .gauss import (
 from .hybrid import hybrid_moment_quadrature, lemma9_scan
 from .modular import PrimePowerModulus, check_modulus, modulus, sample_units
 from .moments import MomentReport, RecipeParams, moment_report, recipe_params
-from .report import rel_err, render_rows
+from .report import BLOCK, rel_err, render_rows
 from .vdc import (
     FiniteSequence,
     amplified_l2_identity,
@@ -53,13 +53,19 @@ from .vdc import (
 
 @dataclass
 class RunResult:
-    """Rows and check outcomes of one run.  The driver creates it with the
-    subcommand's row keys and seed and adds the tolerance failures."""
+    """Report text and check outcomes of one run.  The driver creates it with
+    the subcommand's row keys, seed, report format and tolerance check (the
+    failures of a block of rows), and renders the last block at the end."""
 
     keys: list
     seed: int = 0
-    rows: list = field(default_factory=list)
+    fmt: str = "csv"
+    check: Callable[[list], list] | None = None
+    rows: list = field(default_factory=list)  # the block being filled
+    texts: list = field(default_factory=list)  # the rendered blocks, in order
+    count: int = 0
     hard_failures: list = field(default_factory=list)
+    tolerance_failures: list = field(default_factory=list)
     soft_warnings: list = field(default_factory=list)
 
     @cached_property
@@ -73,10 +79,22 @@ class RunResult:
 
     def add(self, *values) -> None:
         """Append a row given in report-column order; a complex value fills
-        its _re/_im column pair."""
+        its _re/_im column pair.  A full block is rendered at once."""
         if len(values) != len(self.keys):
             raise ValueError(f"{len(values)} values for {len(self.keys)} columns")
         self.rows.append(values)
+        if len(self.rows) == BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Render the held rows as the report's next block (the first with
+        the CSV header), check them, and drop them (rebound, not cleared)."""
+        keys = self.keys if self.fmt == "jsonl" or not self.texts else None
+        self.texts.append(render_rows((keys, self.rows), self.fmt))
+        if self.check:
+            self.tolerance_failures += self.check(self.rows)
+        self.count += len(self.rows)
+        self.rows = []
 
 
 # ---------------------------------------------------------------- subcommands
@@ -144,26 +162,24 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
         # base's row bit for bit
         qkj = m.q // proper_level(m, j)
         by_coset = {}
-        rows = []
-        for c in even_primitive_exponents(m):
+        exponents = even_primitive_exponents(m)
+        improved = 0
+        for c in exponents:
             chi = DirichletCharacter(m, c)
             key = c % qkj
             if key not in by_coset:
                 by_coset[key] = moment_report(chi, j, args.retain_phase)
-            # not `_replace`, whose map-fed tuple leaves a 13-tuple per row free-listed
-            row = by_coset[key]._asdict() | dict(chi_exponent=c, ell=postnikov_ell(chi))
-            rows.append(MomentReport(**row))
-        improved = sum(1 for r in rows if abs(r.residual) < abs(r.baseline_residual))
-        if improved < len(rows):
+            r = by_coset[key]
+            res.add(*r._replace(chi_exponent=c, ell=postnikov_ell(chi)))
+            improved += abs(r.residual) < abs(r.baseline_residual)
+            if not all(map(math.isfinite, (r.empirical, r.D, r.A, r.residual))):
+                res.hard_failures.append(f"moment q={m.q} c={c}: non-finite value")
+        if improved < len(exponents):
             res.soft_warnings.append(
                 f"moment q={m.q} j={j}: secondary term improves the "
-                f"residual at {improved}/{len(rows)} characters (the "
+                f"residual at {improved}/{len(exponents)} characters (the "
                 "theorem's error term dominates at desk-scale moduli)"
             )
-        for r in rows:
-            if not all(map(math.isfinite, (r.empirical, r.D, r.A, r.residual))):
-                res.hard_failures.append(f"moment q={m.q} c={r.chi_exponent}: non-finite value")
-        res.rows.extend(rows)
 
 
 def cmd_recipe(args, m: PrimePowerModulus, res: RunResult) -> None:
@@ -299,6 +315,16 @@ class Subcommand:
         cols = self.columns.split(",")
         return [c.removesuffix("_re") for c in cols if not c.endswith("_im")]
 
+    def failures(self, name: str, tolerance: float, rows: list) -> list:
+        """The FAIL lines of the rows whose checked column exceeds the
+        tolerance, each naming its row by the row's int and str cells."""
+        keys, col, out = self.keys, self.keys.index(self.checked), []
+        for row in rows:
+            if not row[col] <= tolerance:  # so that a NaN fails too
+                where = " ".join(f"{k}={v}" for k, v in zip(keys, row) if isinstance(v, (int, str)))
+                out.append(f"{name} {where}: {self.checked} {row[col]:.3e} > {tolerance:.1e}")
+        return out
+
 
 SPECS = {
     "gauss-verify": Subcommand(
@@ -433,7 +459,8 @@ def check_args(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     spec = SPECS[args.subcommand]
-    result = RunResult(spec.keys, args.seed)
+    check = partial(spec.failures, args.subcommand, args.tolerance) if spec.checked else None
+    result = RunResult(spec.keys, args.seed, args.format, check)
     try:
         check_args(args)
         if GRID[0] in spec.flags:
@@ -448,37 +475,23 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
-    if spec.checked:
-        keys, col = result.keys, result.keys.index(spec.checked)
-        for row in result.rows:
-            if not row[col] <= args.tolerance:  # so that a NaN fails too
-                cells = zip(keys, row)
-                where = " ".join(f"{k}={v}" for k, v in cells if isinstance(v, (int, str)))
-                result.hard_failures.append(
-                    f"{args.subcommand} {where}: {spec.checked} "
-                    f"{row[col]:.3e} > {args.tolerance:.1e}"
-                )
-
-    text = render_rows((result.keys, result.rows), args.format)
-    # free the rows (rebound: a caller may keep the rendered table), then
-    # write in slices, so the report is never encoded whole
-    count, result.rows = len(result.rows), []
+    result.flush()
     with (
         open(args.out, "w", encoding="utf-8", newline="")
         if args.out
         else nullcontext(sys.stdout)
     ) as fh:
-        for i in range(0, len(text), 1 << 16):
-            fh.write(text[i : i + (1 << 16)])
+        fh.writelines(result.texts)
 
     for w in result.soft_warnings:
         print(f"warning: {w}", file=sys.stderr)
-    for f in result.hard_failures:
+    failures = result.hard_failures + result.tolerance_failures
+    for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
-    status = "FAIL" if result.hard_failures else "ok"
+    status = "FAIL" if failures else "ok"
     if args.strict and result.soft_warnings:
         status = "FAIL"
-    summary = f"{args.subcommand}: {count} {spec.noun}"
+    summary = f"{args.subcommand}: {result.count} {spec.noun}"
     print(f"{summary} [{status}]", file=sys.stderr)
     return 1 if status == "FAIL" else 0
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from functools import cache
 
+BLOCK = 256  # rows rendered at once: a report's blocks, and render_rows' own
+
 
 def rel_err(brute: complex, closed: complex) -> float:
     """|brute - closed| against the larger magnitude (absolute if both vanish)."""
@@ -89,7 +91,8 @@ def _line(types: tuple, keys: list | None = None):
 
 def render_rows(table: tuple, fmt: str) -> str:
     """Serialize a (keys, rows) report as 'csv' or 'jsonl' text (UTF-8, LF
-    endings); the first row's complex cells split the CSV header's keys."""
+    endings); the first row's complex cells split the CSV header's keys.  CSV
+    keys of None render the rows alone, as a report's later blocks."""
     keys, rows = table
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -99,20 +102,19 @@ def render_rows(table: tuple, fmt: str) -> str:
     def lines(block):
         return "".join(line_of(tuple(map(type, r)))(*r) for r in block)
 
+    def block(i):
+        # a JSON block that wrote nan or inf is redone from JSON text
+        text = lines(rows[i : i + BLOCK])
+        if fmt == "jsonl" and ("nan" in text or "inf" in text):
+            text = lines([tuple(map(_json_text, r)) for r in rows[i : i + BLOCK]])
+        return text
+
     out = ""
-    if rows and fmt == "csv":
+    if rows and keys and fmt == "csv":
         header = [
             k + part
             for k, v in zip(keys, rows[0])
             for part in (("_re", "_im") if isinstance(v, complex) else ("",))
         ]
         out = line_of((str,) * len(header))(*header)
-    # one str grown in small blocks, which CPython resizes in place once the
-    # `+=` is specialized (a few blocks in), so the report never sits beside
-    # its blocks; a JSON block that wrote nan or inf is redone from JSON text
-    for i in range(0, len(rows), 256):
-        text = lines(rows[i : i + 256])
-        if fmt == "jsonl" and ("nan" in text or "inf" in text):
-            text = lines([tuple(map(_json_text, r)) for r in rows[i : i + 256]])
-        out += text
-    return out
+    return out + "".join(map(block, range(0, len(rows), BLOCK)))

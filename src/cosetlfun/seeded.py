@@ -8,12 +8,22 @@ import numpy as np
 
 from .errors import PreconditionViolated
 
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LANES = 512  # states per refill, each a 256-bit lane of one Python int
-_JUMP = pow(_MULT, _LANES, 1 << 128)  # s -> _JUMP * s + add: _LANES steps on
-_ONES = int.from_bytes((1).to_bytes(32, "little") * _LANES, "little")  # 1 per lane
-_MASK = _M128 * _ONES
+_LANES = 4096  # states per refill, each held as uint64 halves hi, lo
+
+
+def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add: int) -> tuple:
+    """The 128-bit states s = hi * 2^64 + lo taken to mult * s + add mod
+    2^128, as new halves.  The high word of lo times mult's low word is
+    formed from 32-bit limbs, each partial product below 2^64."""
+    m_hi, m_lo, a_hi, a_lo = map(np.uint64, (mult >> 64, mult & _M64, add >> 64, add & _M64))
+    l0, l1, n0, n1 = lo & _M32, lo >> 32, m_lo & _M32, m_lo >> 32
+    cross = l1 * n0 + (l0 * n0 >> 32)
+    carry = (cross & _M32) + l0 * n1
+    new_lo = lo * m_lo + a_lo
+    new_hi = l1 * n1 + (cross >> 32) + (carry >> 32) + hi * m_lo + lo * m_hi + a_hi
+    return new_hi + (new_lo < a_lo), new_lo
 
 
 def _hashmix(v: int, h: list) -> int:  # SeedSequence's; h: [constant, multiplier]
@@ -37,26 +47,30 @@ class SeededStream:
         h = [0x8B51F9DD, 0x58F38DED]
         w = [_hashmix(pool[i % 4], h) for i in range(8)]
         s_hi, s_lo, i_hi, i_lo = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
-        # PCG64's seeding; lane i of the first refill holds state i + 1
+        # PCG64's seeding; lane i of the first refill holds state i + 1, and
+        # each doubling appends the lanes' images under the map of as many
+        # steps, then squares that map: at the end, the jump of _LANES steps
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        s = start = ((inc + (s_hi << 64 | s_lo)) * _MULT + inc) & _M128
-        lanes = []
-        for _ in range(_LANES):
-            s = (s * _MULT + inc) & _M128
-            lanes.append(s.to_bytes(32, "little"))
-        self._packed = int.from_bytes(b"".join(lanes), "little")
-        self._add = ((s - _JUMP * start) & _M128) * _ONES
-        self._buf, self._half = np.empty(0, np.uint64), []
+        s = (((inc + (s_hi << 64 | s_lo)) * _MULT + inc) * _MULT + inc) & _M128
+        hi, lo = np.array([s >> 64], np.uint64), np.array([s & _M64], np.uint64)
+        self._jump = (_MULT, inc)
+        while hi.size < _LANES:
+            mult, add = self._jump
+            hi, lo = map(np.concatenate, zip((hi, lo), _affine(hi, lo, mult, add)))
+            self._jump = (mult * mult & _M128, (mult * add + add) & _M128)
+        self._lanes, self._buf, self._half = (hi, lo), np.empty(0, np.uint64), []
 
     def _outputs(self, n: int) -> np.ndarray:  # the next n 64-bit outputs
         blocks = [self._buf]
         for _ in range(-((self._buf.size - n) // _LANES)):  # ceil of the refills
-            w = np.frombuffer(self._packed.to_bytes(32 * _LANES, "little"), "<u8")
-            x, rot = w[0::4] ^ w[1::4], w[1::4] >> 58
+            hi, lo = self._lanes
+            x, rot = hi ^ lo, hi >> 58
             blocks.append(x >> rot | x << (64 - rot & 63))
-            self._packed = (self._packed * _JUMP + self._add) & _MASK
-        self._buf = (out := np.concatenate(blocks))[n:]
-        return out[:n]
+            self._lanes = _affine(hi, lo, *self._jump)
+        if len(blocks) > 1:  # else a slice of the kept outputs, not a copy
+            self._buf = np.concatenate(blocks)
+        out, self._buf = self._buf[:n], self._buf[n:]
+        return out
 
     def integers(self, low: int, high: int) -> int:
         """Uniform on [low, high), for 1 <= high - low <= 2^32 within int64."""

@@ -11,6 +11,7 @@ quadrature of the underlying integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,14 @@ class FiniteSequence:
         # inclusive
         return self.support_start + self.coefficients.size - 1
 
+    @cached_property
+    def autocorrelation(self) -> list:
+        """Re C(h) = Re sum_n a_{n+h} conj(a_n) for h = 0 .. len-1, formed
+        once, as Python floats (indexing numpy scalars in a loop costs more
+        than the sum); np.correlate conjugates its second argument."""
+        arr = self.coefficients
+        return np.correlate(arr, arr, "full")[arr.size - 1 :].real.tolist()
+
 
 def random_sequence(length: int, rng) -> FiniteSequence:
     """Seeded coefficients on [1, length], uniform on the square [0,1)+[0,1)i:
@@ -54,19 +63,15 @@ def random_sequence(length: int, rng) -> FiniteSequence:
     return FiniteSequence(1, u + 1j * v)
 
 
-def _symmetric_shift_sum(arr: np.ndarray, weights: list) -> float:
-    """sum_{|h| < H} weights[|h|] * C(h) of the sequence arr, with
-    H = len(weights), folded pairwise so it is exactly real.
+def _symmetric_shift_sum(corr: list, weights: list) -> float:
+    """sum_{|h| < H} weights[|h|] * C(h) of a sequence whose autocorrelation
+    is corr, with H = len(weights), folded pairwise so it is exactly real.
 
     C(-h) = conj(C(h)), so the h and -h terms sum to 2*Re(weight * C(h)).
     """
-    # Re C(h) for h = 0 .. n-1 as Python floats (indexing numpy scalars in
-    # the loop costs more than the sum); np.correlate conjugates its second
-    # argument
-    corr = np.correlate(arr, arr, "full")[arr.size - 1 :].real.tolist()
     total = weights[0] * corr[0]
     # C(h) = 0 for h >= n, and adding those zeros leaves total unchanged
-    for h in range(1, min(len(weights), arr.size)):
+    for h in range(1, min(len(weights), len(corr))):
         total += 2.0 * weights[h] * corr[h]
     return total
 
@@ -84,7 +89,7 @@ def vdc_inequality_check(a: FiniteSequence, H: int) -> tuple[float, float]:
     N = len(a)
     arr = a.coefficients
     lhs = abs(arr.sum()) ** 2
-    rhs = (1.0 + N / H) * _symmetric_shift_sum(arr, [1.0 - h / H for h in range(H)])
+    rhs = (1.0 + N / H) * _symmetric_shift_sum(a.autocorrelation, [1.0 - h / H for h in range(H)])
     return float(lhs), float(rhs)
 
 
@@ -100,7 +105,7 @@ def amplified_l2_identity(a: FiniteSequence, H: int) -> tuple[float, float]:
         raise BadShiftBound(f"kernel length H = {H} must be >= 1")
     conv = np.convolve(np.ones(H, dtype=np.complex128), a.coefficients)
     lhs = float(np.sum(np.abs(conv) ** 2))
-    rhs = _symmetric_shift_sum(a.coefficients, [float(H - h) for h in range(H)])
+    rhs = _symmetric_shift_sum(a.autocorrelation, [float(H - h) for h in range(H)])
     return lhs, rhs
 
 
@@ -154,7 +159,7 @@ def coset_shift_identity(
 
     q0 = level_modulus(m, j)
     chi_row = _character_rows(m, _support_dlogs(a, m), np.array([chi.c]))
-    b = a.coefficients * chi_row[0]
+    b = FiniteSequence(a.support_start, a.coefficients * chi_row[0])
     weights = [1.0 if h % q0 == 0 else 0.0 for h in range(len(a))]
-    rhs = _symmetric_shift_sum(b, weights) * phi_prime_power(m.p, j)
+    rhs = _symmetric_shift_sum(b.autocorrelation, weights) * phi_prime_power(m.p, j)
     return float(lhs), float(rhs)

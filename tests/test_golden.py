@@ -72,7 +72,11 @@ def test_jsonl_report_parses(name, capsys, monkeypatch):
     code = main([name, *INVOCATIONS[name], "--format", "jsonl"])
     out = capsys.readouterr().out
     assert code == 0
-    [(keys, rows)] = tables
+    # one table per rendered block, each with the keys a JSON line carries
+    keys = tables[0][0]
+    assert keys == cli_module.SPECS[name].keys
+    assert all(table_keys == keys for table_keys, _ in tables)
+    rows = [row for _, block in tables for row in block]
     lines = out.split("\n")
     assert lines.pop() == "" and len(lines) == len(rows) > 0
     for line, row in zip(lines, rows):

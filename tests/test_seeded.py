@@ -25,8 +25,12 @@ SPANS = st.one_of(
 )
 DRAWS = st.one_of(
     st.tuples(st.just("integers"), st.integers(-(2**40), 2**40), SPANS),
-    # refills hold 512 outputs: n = 0, and n ending at or crossing a refill
-    st.tuples(st.just("random"), st.sampled_from([0, 1, 511, 512, 513, 1500])),
+    # refills hold 4096 outputs (512 before): n = 0, and n ending at or
+    # crossing a refill
+    st.tuples(
+        st.just("random"),
+        st.sampled_from([0, 1, 511, 512, 513, 1500, 4095, 4096, 4097, 9000]),
+    ),
     st.tuples(st.just("random"), st.integers(0, 1100)),
     st.tuples(st.just("choice"), st.integers(1, 60), st.booleans()),
 )
