@@ -102,7 +102,7 @@ def render_rows(table: tuple, fmt: str) -> str:
     def lines(block):
         return "".join(line_of(tuple(map(type, r)))(*r) for r in block)
 
-    def block(i):
+    def block_at(i):
         # a JSON block that wrote nan or inf is redone from JSON text
         text = lines(rows[i : i + BLOCK])
         if fmt == "jsonl" and ("nan" in text or "inf" in text):
@@ -117,4 +117,4 @@ def render_rows(table: tuple, fmt: str) -> str:
             for part in (("_re", "_im") if isinstance(v, complex) else ("",))
         ]
         out = line_of((str,) * len(header))(*header)
-    return out + "".join(map(block, range(0, len(rows), BLOCK)))
+    return out + "".join(map(block_at, range(0, len(rows), BLOCK)))
