@@ -53,8 +53,8 @@ from .vdc import (
 
 @dataclass
 class RunResult:
-    """Report text and check outcomes of one run.  The driver creates it with
-    the subcommand's row keys, seed, report format and tolerance check (the
+    """Report text and check outcomes of one run.  `main` creates it with the
+    subcommand's row keys, seed, report format and tolerance check (the
     failures of a block of rows), and renders the last block at the end."""
 
     keys: list
