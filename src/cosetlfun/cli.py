@@ -10,14 +10,17 @@ only fail the run under --strict.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import math
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable
+from typing import IO, Callable
 
 from .characters import (
     CosetSpec,
@@ -53,16 +56,17 @@ from .vdc import (
 
 @dataclass
 class RunResult:
-    """Report text and check outcomes of one run.  `main` creates it with the
+    """Report and check outcomes of one run.  `main` creates it with the
     subcommand's row keys, seed, report format and tolerance check (the
-    failures of a block of rows), and renders the last block at the end."""
+    failures of a block of rows), renders the last block at the end, and
+    copies the spool, the rendered blocks in order, to the report."""
 
     keys: list
     seed: int = 0
     fmt: str = "csv"
     check: Callable[[list], list] | None = None
     rows: list = field(default_factory=list)  # the block being filled
-    texts: list = field(default_factory=list)  # the rendered blocks, in order
+    spool: IO | None = None  # an unnamed temporary file, opened on the first flush
     count: int = 0
     hard_failures: list = field(default_factory=list)
     tolerance_failures: list = field(default_factory=list)
@@ -88,9 +92,12 @@ class RunResult:
 
     def flush(self) -> None:
         """Render the held rows as the report's next block (the first with
-        the CSV header), check them, and drop them (rebound, not cleared)."""
-        keys = self.keys if self.fmt == "jsonl" or not self.texts else None
-        self.texts.append(render_rows((keys, self.rows), self.fmt))
+        the CSV header) onto the spool, check them, and drop them (rebound,
+        not cleared)."""
+        keys = self.keys if self.fmt == "jsonl" or not self.count else None
+        if self.spool is None:
+            self.spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        self.spool.write(render_rows((keys, self.rows), self.fmt))
         if self.check:
             self.tolerance_failures += self.check(self.rows)
         self.count += len(self.rows)
@@ -232,7 +239,7 @@ def cmd_vdc(args, m: None, res: RunResult) -> None:
 
 def cmd_shift_identity(args, m: PrimePowerModulus, res: RunResult) -> None:
     """Coset mean square vs shifted autocorrelations on random sequences."""
-    exponents = primitive_exponents(m)
+    exponents = list(primitive_exponents(m))
     for j in args.j or range(0, m.k + 1):
         for i in range(args.trials):
             c = res.rng.choice(exponents)
@@ -468,20 +475,25 @@ def main(argv=None) -> int:
                 HANDLERS[args.subcommand](args, modulus(p, k), result)
         else:
             HANDLERS[args.subcommand](args, None, result)
+        result.flush()
+        result.spool.seek(0)
+        with (
+            open(args.out, "w", encoding="utf-8", newline="")
+            if args.out
+            else nullcontext(sys.stdout)
+        ) as fh:
+            # the copy runs at the run's high-water mark: 8 KiB at a time
+            # (io's buffer size), not shutil's 64 KiB, adds nothing to it
+            shutil.copyfileobj(result.spool, fh, io.DEFAULT_BUFFER_SIZE)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except CosetLFunError as e:
+    except (CosetLFunError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-
-    result.flush()
-    with (
-        open(args.out, "w", encoding="utf-8", newline="")
-        if args.out
-        else nullcontext(sys.stdout)
-    ) as fh:
-        fh.writelines(result.texts)
+    finally:
+        if result.spool is not None:
+            result.spool.close()
 
     for w in result.soft_warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -281,7 +281,7 @@ class TestCosets:
     )
     def test_exponents_match_sorted_generator(self, pk, c):
         m = modulus(*pk)
-        exponents = primitive_exponents(m)
+        exponents = list(primitive_exponents(m))
         base = DirichletCharacter(m, exponents[c % len(exponents)])
         for j in range(m.k + 1):
             for parity in ("all", "even", "odd"):

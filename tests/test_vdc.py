@@ -292,7 +292,7 @@ class TestBatchedTwistedSum:
     @given(sequence_on_small_modulus(), st.data())
     def test_lhs_matches_member_loop(self, case, data):
         m, a = case
-        chi = DirichletCharacter(m, data.draw(st.sampled_from(primitive_exponents(m))))
+        chi = DirichletCharacter(m, data.draw(st.sampled_from(list(primitive_exponents(m)))))
         j = data.draw(st.integers(0, m.k))
         lhs, _ = coset_shift_identity(a, chi, j)
         assert lhs == pytest.approx(coset_mean_square(a, chi, j), rel=1e-13)
