@@ -175,7 +175,7 @@ def cmd_moment(args, m: PrimePowerModulus, res: RunResult) -> None:
             chi = DirichletCharacter(m, c)
             key = c % qkj
             if key not in by_coset:
-                by_coset[key] = moment_report(chi, j, args.retain_phase)
+                by_coset[key] = moment_report(chi, j)
             r = by_coset[key]
             res.add(*r._replace(chi_exponent=c, ell=postnikov_ell(chi)))
             improved += abs(r.residual) < abs(r.baseline_residual)
@@ -288,9 +288,6 @@ FLAGS = {
     "--j": dict(type=int, nargs="+", default=[], help="level grid"),
     "--m-samples": dict(type=int, default=10, help="sampled twists per instance"),
     "--trials": dict(type=int, default=100, help="random instances"),
-    "--retain-phase": dict(
-        action="store_true", help="keep the unimodular phase on the secondary term"
-    ),
     "--T": dict(type=float, default=10.0, help="window start"),
     "--T0": dict(type=float, default=2.0, help="window length"),
     "--t-step": dict(type=float, default=0.25, help="quadrature step"),
@@ -364,7 +361,7 @@ SPECS = {
         cmd_moment,
         ",".join(MomentReport._fields),
         "characters reported",
-        GRID + ("--j", "--retain-phase"),
+        GRID + ("--j",),
     ),
     "recipe": Subcommand(
         cmd_recipe,

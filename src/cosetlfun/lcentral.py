@@ -30,13 +30,15 @@ _EM_BERNOULLI_TERMS = 15  # uses B_2 .. B_30, bound from B_32
 # (shift + head) point-terms per point, the head and the Bernoulli terms
 # pricing as _EM_HEAD_TERMS; a Taylor grid one power and a Horner step of
 # _TAYLOR_STEP_TERMS per degree per point, plus its centres.  A product in a
-# character sum prices as a Horner step too (3-6 ns in `char_sum_S`, 6-14 ns
-# in `l_value`, at 3^6 to 3^12).  `require_work` refuses work beyond 2^27
-# point-terms, about 4-7 s.  The Euler-Maclaurin shift grows like |t|/2; the
-# Taylor centres grow like |t| and each sums such a shift, so their cost grows
-# like t^2 but not with q.  One point is refused past |t| of about 3.6e6 and a
-# 3^10 grid past 4.4e3, both on Euler-Maclaurin; 3^12 and 3^14 grids past
-# 1.7e3 and 1.5e3 on Taylor (Euler-Maclaurin alone: 512 and 56).
+# character sum prices as a Horner step too: 3-6 ns in `char_sum_S` at 3^6 to
+# 3^12, 6-7.5, 9-11 and 15-18 ns in `l_value` at 3^8, 3^10 and 3^12.  The cap
+# of 2^27 point-terms in `require_work` is about 4-7 s of powers; the longest
+# `hybrid` windows it admits ran 4.9-5.5 s at 3^10 and 11-12.5 s at 3^12.
+# The Euler-Maclaurin shift grows like |t|/2; the Taylor centres grow like |t|
+# and each sums such a shift, so their cost grows like t^2 but not with q.  One
+# point is refused past |t| of about 3.6e6 and a 3^10 grid past 4.4e3, both on
+# Euler-Maclaurin; 3^12 and 3^14 grids past 1.7e3 and 1.5e3 on Taylor
+# (Euler-Maclaurin alone: 512 and 56).
 _MAX_WORK = 2**27
 _EM_HEAD_TERMS = 8
 _TAYLOR_POINT_TERMS = 1.5

@@ -73,35 +73,24 @@ def predict_D(m: PrimePowerModulus, j: int) -> float:
     return phi_prime_power(p, j) / 2 * (m.phi / q) * bracket
 
 
-def predict_A(
-    chi: DirichletCharacter, j: int, retain_phase: bool = False
-) -> float:
+def predict_A(chi: DirichletCharacter, j: int) -> float:
     """Secondary term where `eps_regimes` is linear: the window j < k <= 2j.
 
-    (phi(q0)/q0) q^(1/2) d(|a|)/|a|^(1/2); the discarded unimodular phase
-    e_q(-a) can be retained as cos(2 pi a / q) for experiments.
+    (phi(q0)/q0) q^(1/2) d(|a|)/|a|^(1/2).
     """
     params, m = recipe_params(chi, j), chi.modulus
     if "linear" not in eps_regimes(m.p, m.k, j):
         raise RegimeMismatch(f"window {params.regime} does not give this term")
-    return _secondary_A(m, j, params, retain_phase)
+    return _secondary_A(m, j, params)
 
 
-def _secondary_A(
-    m: PrimePowerModulus, j: int, params: RecipeParams, retain_phase: bool
-) -> float:
-    a = params.a_chi
-    abs_a = abs(a)
+def _secondary_A(m: PrimePowerModulus, j: int, params: RecipeParams) -> float:
+    abs_a = abs(params.a_chi)
     lead = phi_prime_power(m.p, j) * math.sqrt(m.q) / params.q0
-    value = lead * (divisor_count(abs_a) / math.sqrt(abs_a))
-    if retain_phase:
-        value *= math.cos(2 * math.pi * a / m.q)
-    return value
+    return lead * (divisor_count(abs_a) / math.sqrt(abs_a))
 
 
-def predict_A_prime(
-    chi: DirichletCharacter, j: int, retain_phase: bool = False
-) -> float:
+def predict_A_prime(chi: DirichletCharacter, j: int) -> float:
     """Secondary term where `eps_regimes` is quadratic: 2j <= k <= 3j, p >= 5.
 
     (2a|q) phi(q0) d(|b|)/|b|^(1/2) times cos (q = 1 mod 4) or sin
@@ -111,18 +100,14 @@ def predict_A_prime(
     params, m = recipe_params(chi, j), chi.modulus
     if "quadratic" not in eps_regimes(m.p, m.k, j):
         raise RegimeMismatch(f"window {params.regime} at p = {m.p} gives no such term")
-    return _secondary_A_prime(m, j, params, retain_phase)
+    return _secondary_A_prime(m, j, params)
 
 
-def _secondary_A_prime(
-    m: PrimePowerModulus, j: int, params: RecipeParams, retain_phase: bool
-) -> float:
+def _secondary_A_prime(m: PrimePowerModulus, j: int, params: RecipeParams) -> float:
     a, b = params.a_chi, params.b_chi
     abs_b = abs(b)
     jac = jacobi_symbol(2 * a, m.q)
     angle_num = mod_inverse(2 * a, m.q) * (a - b) * (a - b) % m.q
-    if retain_phase:
-        angle_num = (angle_num - b) % m.q
     trig = math.cos if m.q % 4 == 1 else math.sin
     phase = trig(2 * math.pi * angle_num / m.q)
     return (jac * phi_prime_power(m.p, j)) * (
@@ -139,9 +124,7 @@ class MomentPrediction(NamedTuple):
     params: RecipeParams
 
 
-def predict_moment(
-    chi: DirichletCharacter, j: int, retain_phase: bool = False
-) -> MomentPrediction:
+def predict_moment(chi: DirichletCharacter, j: int) -> MomentPrediction:
     """The closed form of the coset epsilon average (`eps_regimes`) picks the
     secondary term and the size of the theorem's error term."""
     params = recipe_params(chi, j)
@@ -150,10 +133,10 @@ def predict_moment(
     regimes = eps_regimes(m.p, m.k, j)
     if "linear" in regimes:
         # at k = 2j both windows' terms agree; this one also covers p = 3
-        secondary = _secondary_A(m, j, params, retain_phase)
+        secondary = _secondary_A(m, j, params)
         scale = m.q ** (-0.125) * q0
     elif "quadratic" in regimes:
-        secondary = _secondary_A_prime(m, j, params, retain_phase)
+        secondary = _secondary_A_prime(m, j, params)
         scale = q0 ** (-0.25) * math.sqrt(m.q)
     else:
         raise RegimeMismatch(f"(k, j) = ({m.k}, {j}) fits no window at p = {m.p}")
@@ -203,11 +186,9 @@ class MomentReport(NamedTuple):
     error_scale: float
 
 
-def moment_report(
-    chi: DirichletCharacter, j: int, retain_phase: bool = False
-) -> MomentReport:
+def moment_report(chi: DirichletCharacter, j: int) -> MomentReport:
     """Empirical vs predicted second moment for the coset of chi at level j."""
-    pred = predict_moment(chi, j, retain_phase)
+    pred = predict_moment(chi, j)
     emp = empirical_coset_moment(CosetSpec(chi, j, "even"))
     return MomentReport(
         *pred.params,

@@ -15,7 +15,7 @@ import cosetlfun.cli as cli_module
 import cosetlfun.hybrid as hybrid_module
 import cosetlfun.modular as modular_module
 from cosetlfun.characters import DirichletCharacter, even_primitive_exponents
-from cosetlfun.cli import SUBCOMMANDS, build_parser, main
+from cosetlfun.cli import SPECS, SUBCOMMANDS, build_parser, main
 from cosetlfun.errors import PreconditionViolated
 from cosetlfun.hybrid import Lemma9Scan
 from cosetlfun.modular import PrimePowerModulus, modulus
@@ -61,6 +61,7 @@ class TestParser:
             ["hybrid", "--p", "3", "--k", "4", "--A", "2"],
             ["moment", "--p", "3", "--k", "4", "--j", "2", "--tolerance", "1"],
             ["vdc", "--p", "5"],
+            ["moment", "--p", "3", "--k", "4", "--j", "2", "--retain-phase"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_rejected(self, argv, capsys):
@@ -105,6 +106,26 @@ def test_report_columns_match_help(name, capsys):
             pair = isinstance(value, list) and len(value) == 2
             keys += [f"{key}_re", f"{key}_im"] if pair else [key]
         assert keys == columns
+
+
+def test_readme_flag_table_matches_specs():
+    # the `| subcommand | flags |` table under README's "Command line"
+    readme = os.path.join(SRC, os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    table = section.split("\n| subcommand | flags |\n|---|---|\n")[1]
+    listed = {}
+    for line in table.split("\n\n")[0].splitlines():
+        names, flags = line.strip("| ").split(" | ")
+        for name in names.replace("`", "").split(", "):
+            assert name not in listed, f"{name} has two rows"
+            listed[name] = flags.replace("`", "").split(", ")
+    want = {
+        name: list(spec.flags) + ["--tolerance"] * bool(spec.checked)
+        for name, spec in SPECS.items()
+    }
+    assert listed == want
 
 
 # inputs no handler can run on, with the start of the error line each gives:
@@ -529,26 +550,25 @@ class TestMomentCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "p, k, j, flags",
+        "p, k, j",
         [
-            (3, 5, 3, ()),  # thm11
-            (3, 4, 2, ()),  # both
-            (5, 4, 2, ()),  # both
-            (5, 3, 1, ()),  # thm12
-            (7, 3, 1, ()),  # thm12
-            (5, 4, 2, ("--retain-phase",)),
+            (3, 5, 3),  # thm11
+            (3, 4, 2),  # both
+            (5, 4, 2),  # both
+            (5, 3, 1),  # thm12
+            (7, 3, 1),  # thm12
         ],
     )
-    def test_rows_match_per_character_reports(self, p, k, j, flags, capsys):
+    def test_rows_match_per_character_reports(self, p, k, j, capsys):
         # the per-character path is the oracle for the per-coset rows
         code, out, _ = run_cli(
             capsys, "moment", "--p", str(p), "--k", str(k), "--j", str(j),
-            "--format", "jsonl", *flags,
+            "--format", "jsonl",
         )
         assert code == 0
         m = modulus(p, k)
         want = [
-            moment_report(DirichletCharacter(m, c), j, bool(flags))._asdict()
+            moment_report(DirichletCharacter(m, c), j)._asdict()
             for c in even_primitive_exponents(m)
         ]
         assert out == render_rows(
@@ -558,9 +578,9 @@ class TestMomentCommand:
     def test_one_report_per_coset(self, monkeypatch, capsys):
         bases = []
 
-        def counting(chi, j, retain_phase=False):
+        def counting(chi, j):
             bases.append(chi.c)
-            return moment_report(chi, j, retain_phase)
+            return moment_report(chi, j)
 
         monkeypatch.setattr(cli_module, "moment_report", counting)
         code, out, _ = run_cli(

@@ -170,16 +170,6 @@ class TestPredictA:
         minus = character_with_ell(m, 3**4 - 2, even=True)
         assert predict_A(plus, 3) == predict_A(minus, 3)
 
-    def test_retained_phase_is_cosine(self):
-        m = modulus(3, 5)
-        chi = character_with_ell(m, 7, even=True)
-        params = recipe_params(chi, 3)
-        bare = predict_A(chi, 3)
-        phased = predict_A(chi, 3, retain_phase=True)
-        assert phased == pytest.approx(
-            bare * math.cos(2 * math.pi * params.a_chi / m.q), rel=1e-12
-        )
-
     def test_regime_guard(self):
         m = modulus(3, 5)
         chi = DirichletCharacter(m, 2)
